@@ -36,6 +36,15 @@ CubeBound cube_bound(const DemandMap& d) {
   std::int64_t best_side = 1;
   double best_m = 0.0;
   for (std::int64_t k = 1; k <= k_hi; ++k) {
+    // Exact early exit. Cor. 2.2.7 only asks about ⌈ω⌉-cubes, so side k
+    // speaks for ω ∈ (k-1, k] and its candidate max(M(k)/(3k)^ℓ, k-1) is
+    // at least k-1. Once k-1 >= best, every side from here on proposes a
+    // value >= best, and best is only replaced on a strict <, so ω_c, its
+    // side and its cube demand are final: at most ⌊ω_c⌋+1 sides are ever
+    // evaluated, whatever the bounding-box extent. (A feasible side j has
+    // root <= j, so its candidate is <= j: the exit fires at side j+1.)
+    if (best >= 0.0 && static_cast<double>(k - 1) >= best) break;
+    ++out.sides_scanned;
     const double m = k >= max_side ? total : ps.max_cube_sum(k);
     if (m <= 0.0) continue;
     const double cells = std::pow(3.0 * static_cast<double>(k),

@@ -6,10 +6,12 @@
 //   ω_c = min{ω : ω·(3⌈ω⌉)^ℓ = max over ⌈ω⌉-cubes of their demand},
 // interpreted with the same inf-crossing semantics as ω_T (DESIGN.md §3).
 //
-// Complexity: cube_bound builds prefix sums once, O(n^ℓ), then scans
-// cube sides k = 1…n with an O(n^ℓ) sliding-window maximum per side —
-// O(n^{ℓ+1}) worst case but the side loop exits at the first crossing,
-// which is O(ω_c) sides in practice.
+// Complexity: cube_bound builds prefix sums over the demand's bounding
+// box once, O(V) for V its volume, then scans cube sides k = 1, 2, …
+// with one O(2^ℓ·V) pass over every in-box window per side. Side k's
+// candidate is never below k-1, so the scan stops at the first k with
+// k-1 >= the best candidate so far: at most ⌊ω_c⌋+1 passes, independent
+// of the bounding-box extent (an outlier job widens V, not the pass count).
 #pragma once
 
 #include <cstdint>
@@ -22,10 +24,14 @@ struct CubeBound {
   double omega_c = 0.0;        // Cor. 2.2.7 value
   std::int64_t cube_side = 1;  // ⌈ω_c⌉ clamped to >= 1 (partition side)
   double max_cube_demand = 0.0;  // demand of the binding cube
+  // Sides whose window maximum the scan evaluated (≤ ⌊ω_c⌋+1): a
+  // deterministic work counter for the sizing step.
+  std::int64_t sides_scanned = 0;
 };
 
-// Computes ω_c by scanning cube sides k = 1, 2, … with sliding-window
-// maxima M(k) over all offsets, solving ω·(3k)^ℓ = M(k) per segment.
+// Computes ω_c by scanning cube sides k = 1, 2, … with window maxima M(k)
+// over all offsets, solving ω·(3k)^ℓ = M(k) per segment, and stopping once
+// no larger side can bind.
 CubeBound cube_bound(const DemandMap& d);
 
 // max_{T ∈ Γ} ω_T over all cubes Γ of every side and offset touching the

@@ -72,10 +72,11 @@ void suite_offline(BenchRun& b) {
     const Scenario& sc = reg.at(name);
     b.run_case(name, [&b, &sc](MetricRow& row) {
       const DemandMap demand = sc.demand();
-      const CubeBound cb = cube_bound(demand);
+      // plan_offline sizes the demand; its bound is the Cor. 2.2.7 ω_c.
+      const OfflinePlan plan = plan_offline(demand);
+      const CubeBound& cb = plan.bound;
       const double omega_star = omega_star_flow(demand);
       const double cube_max = max_omega_over_cubes(demand);
-      const OfflinePlan plan = plan_offline(demand);
       const PlanCheck check = verify_plan(plan, demand);
       if (!check.ok) {
         b.fail(sc.name + ": plan failed: " + check.issue);
@@ -789,9 +790,9 @@ void suite_dim_sweep(BenchRun& b) {
       const int l = demand.dim();
       const double upper_factor =
           2.0 * std::pow(3.0, static_cast<double>(l)) + static_cast<double>(l);
-      const CubeBound cb = cube_bound(demand);
-      const double omega_star = omega_star_flow(demand);
       const OfflinePlan plan = plan_offline(demand);
+      const CubeBound& cb = plan.bound;
+      const double omega_star = omega_star_flow(demand);
       const PlanCheck check = verify_plan(plan, demand);
       if (!check.ok) {
         b.fail(sc.name + ": plan failed: " + check.issue);
@@ -1626,9 +1627,9 @@ void suite_smoke(BenchRun& b) {
   const Scenario& sc = reg.at("uniform/8x8/n32");
   offline.run_case(sc.name, [&b, &sc](MetricRow& row) {
     const DemandMap demand = sc.demand();
-    const CubeBound cb = cube_bound(demand);
-    const double omega_star = omega_star_flow(demand);
     const OfflinePlan plan = plan_offline(demand);
+    const CubeBound& cb = plan.bound;
+    const double omega_star = omega_star_flow(demand);
     const PlanCheck check = verify_plan(plan, demand);
     if (!check.ok) {
       b.fail("smoke plan failed: " + check.issue);

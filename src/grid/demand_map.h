@@ -38,11 +38,20 @@ class DemandMap {
       d_[p] = value;
   }
 
+  // One hash probe: a positive delta finds-or-inserts (the new entry's
+  // 0.0 + delta is what at() + delta gave), anything else only finds, so
+  // an entry whose result would be 0 is never inserted and the map's
+  // contents and iteration order match at()-then-set() exactly.
   void add(const Point& p, double delta) {
     CMVRP_CHECK(p.dim() == dim_);
-    const double v = at(p) + delta;
+    const auto it = delta > 0.0 ? d_.try_emplace(p, 0.0).first : d_.find(p);
+    const double v = (it == d_.end() ? 0.0 : it->second) + delta;
     CMVRP_CHECK_MSG(v >= 0.0, "demand made negative at " << p.to_string());
-    set(p, v);
+    if (it == d_.end()) return;  // absent and delta == 0: nothing to store
+    if (v == 0.0)
+      d_.erase(it);
+    else
+      it->second = v;
   }
 
   std::size_t support_size() const { return d_.size(); }

@@ -1,6 +1,7 @@
 #include "grid/dense_grid.h"
 
 #include <algorithm>
+#include <array>
 
 namespace cmvrp {
 
@@ -169,33 +170,66 @@ double PrefixSums::box_sum(const Box& query) const {
 double PrefixSums::max_cube_sum(std::int64_t side) const {
   CMVRP_CHECK(side >= 1);
   const int dim = box_.dim();
-  // Window corner ranges; if the cube is larger than the grid along an
-  // axis, use the single clipped window that covers the whole axis.
-  std::vector<std::int64_t> lo(static_cast<std::size_t>(dim)),
-      hi(static_cast<std::size_t>(dim));
-  for (int i = 0; i < dim; ++i) {
-    lo[static_cast<std::size_t>(i)] = box_.lo()[i];
-    hi[static_cast<std::size_t>(i)] = box_.hi()[i] - side + 1;
-    if (hi[static_cast<std::size_t>(i)] < lo[static_cast<std::size_t>(i)])
-      hi[static_cast<std::size_t>(i)] = lo[static_cast<std::size_t>(i)];
+  const auto d = static_cast<std::size_t>(dim);
+  // Per axis: the clipped window extent e_i = min(side, n_i), the number
+  // of window bases n_i - e_i + 1 (1 when the cube overhangs the box, the
+  // single clipped window covering the axis), and the padded-table stride.
+  std::array<std::size_t, Point::kMaxDim> ext{}, count{}, stride{};
+  std::size_t st = 1;
+  for (std::size_t i = d; i-- > 0;) {
+    const auto n = static_cast<std::size_t>(sides_[i]);
+    ext[i] = std::min(static_cast<std::size_t>(side), n);
+    count[i] = n - ext[i] + 1;
+    stride[i] = st;
+    st *= n + 1;
   }
+  // The window based at padded coordinates b sums the 2^ℓ corners
+  // b + (mask bit i ? 0 : e_i) with sign (-1)^popcount(mask) — box_sum's
+  // inclusion–exclusion, so each corner is a fixed offset from the base.
+  const unsigned corners = 1u << dim;
+  std::array<std::size_t, std::size_t{1} << Point::kMaxDim> offset{};
+  std::array<double, std::size_t{1} << Point::kMaxDim> sign{};
+  for (unsigned mask = 0; mask < corners; ++mask) {
+    std::size_t off = 0;
+    int sg = 1;
+    for (std::size_t i = 0; i < d; ++i) {
+      if (mask & (1u << i)) {
+        sg = -sg;
+      } else {
+        off += ext[i] * stride[i];
+      }
+    }
+    offset[mask] = off;
+    sign[mask] = sg;
+  }
+
+  // Walk the bases with the innermost axis contiguous (stride 1); an
+  // odometer over the outer axes moves the row start. Each window sums
+  // its corners in box_sum's mask order from 0.0, so every window sum,
+  // and hence the maximum, is bit-identical to max over box_sum.
+  const double* ps = ps_.data();
+  const std::size_t inner = count[d - 1];
+  std::array<std::size_t, Point::kMaxDim> b{};
+  std::size_t row = 0;
   double best = 0.0;
-  std::vector<std::int64_t> cur = lo;
   for (;;) {
-    Point corner = Point::origin(dim);
-    for (int i = 0; i < dim; ++i) corner[i] = cur[static_cast<std::size_t>(i)];
-    best = std::max(best, box_sum(Box::cube(corner, side)));
-    int axis = dim - 1;
-    while (axis >= 0) {
-      auto& c = cur[static_cast<std::size_t>(axis)];
-      if (c < hi[static_cast<std::size_t>(axis)]) {
-        ++c;
+    const double* base = ps + row;
+    for (std::size_t j = 0; j < inner; ++j) {
+      double sum = 0.0;
+      for (unsigned mask = 0; mask < corners; ++mask)
+        sum += sign[mask] * base[offset[mask] + j];
+      best = std::max(best, sum);
+    }
+    std::size_t axis = d - 1;
+    while (axis-- > 0) {
+      if (++b[axis] < count[axis]) {
+        row += stride[axis];
         break;
       }
-      c = lo[static_cast<std::size_t>(axis)];
-      --axis;
+      row -= (count[axis] - 1) * stride[axis];
+      b[axis] = 0;
     }
-    if (axis < 0) break;
+    if (axis == static_cast<std::size_t>(-1)) break;
   }
   return best;
 }

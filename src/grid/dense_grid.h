@@ -1,5 +1,5 @@
 // Dense value field over a finite box, with ℓ-dimensional prefix sums and
-// a sliding cube-window maximiser.
+// a cube-window maximiser.
 //
 // Corollary 2.2.7 and Algorithm 1 both reduce to questions of the form
 // "what is the maximum total demand over all s-cubes?" — prefix sums give
@@ -71,10 +71,13 @@ class PrefixSums {
   double box_sum(const Box& query) const;
 
   // Maximum of box_sum over all side^ℓ cubes whose intersection with the
-  // grid box is the full cube (i.e. cubes fully inside). When no cube of
-  // that size fits, falls back to cubes clipped at the boundary, which is
-  // what the paper's "all ℓ-cubes in Z^ℓ" means for demand supported on a
-  // finite set: exterior demand is zero, so clipped windows are equivalent.
+  // grid box is the full cube (i.e. cubes fully inside). Along an axis the
+  // cube overhangs, the single window clipped to that axis stands in,
+  // which is what the paper's "all ℓ-cubes in Z^ℓ" means for demand
+  // supported on a finite set: exterior demand is zero. One O(2^ℓ·V) pass
+  // with no allocation: the 2^ℓ corner offsets and signs are fixed per
+  // side, and each window sums them in box_sum's order, so the result is
+  // bit-identical to the maximum of box_sum over the same windows.
   double max_cube_sum(std::int64_t side) const;
 
  private:

@@ -3,15 +3,18 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/cube_bound.h"
 #include "util/check.h"
 
 namespace cmvrp {
 
 OnlineConfig default_online_config(const DemandMap& demand,
                                    std::uint64_t seed) {
+  return default_online_config(demand, cube_bound(demand), seed);
+}
+
+OnlineConfig default_online_config(const DemandMap& demand,
+                                   const CubeBound& cb, std::uint64_t seed) {
   CMVRP_CHECK(!demand.empty());
-  const CubeBound cb = cube_bound(demand);
   OnlineConfig config;
   config.cube_side = std::max<std::int64_t>(2, cb.cube_side);
   config.anchor = demand.bounding_box().lo();
@@ -38,8 +41,8 @@ CapacitySearchResult find_min_online_capacity(const std::vector<Job>& jobs,
   CMVRP_CHECK(!jobs.empty());
   CMVRP_CHECK(tol > 0.0);
   const DemandMap demand = demand_of_stream(jobs, dim);
-  OnlineConfig config = default_online_config(demand, seed);
   const CubeBound cb = cube_bound(demand);
+  OnlineConfig config = default_online_config(demand, cb, seed);
 
   CapacitySearchResult result;
   result.omega_c = cb.omega_c;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/cube_bound.h"
 #include "grid/demand_map.h"
 #include "online/simulation.h"
 #include "workload/generators.h"
@@ -23,6 +24,10 @@ namespace cmvrp {
 // Lemma 3.3.1 capacity (unless overridden afterwards).
 OnlineConfig default_online_config(const DemandMap& demand,
                                    std::uint64_t seed = 1);
+// The same config from an already computed cube_bound(demand), for
+// callers that also need ω_c and would otherwise size the demand twice.
+OnlineConfig default_online_config(const DemandMap& demand,
+                                   const CubeBound& cb, std::uint64_t seed);
 
 struct CapacitySearchResult {
   double won_empirical = 0.0;   // minimal sufficient W found

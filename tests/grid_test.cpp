@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "grid/box.h"
 #include "grid/demand_map.h"
@@ -158,6 +159,36 @@ TEST(DemandMap, SetAddEraseTotals) {
   EXPECT_EQ(d.support_size(), 1u);
   EXPECT_DOUBLE_EQ(d.at(Point{0, 0}), 0.0);
   EXPECT_THROW(d.set(Point{1, 1}, -1.0), check_error);
+}
+
+TEST(DemandMap, AddMatchesAtThenSetIncludingIterationOrder) {
+  // add() probes the hash once; it must leave exactly the map that
+  // set(p, at(p) + delta) leaves: same entries, same bits, same order.
+  Rng rng(31);
+  DemandMap fast(2), slow(2);
+  for (int i = 0; i < 5000; ++i) {
+    const Point p{rng.next_int(0, 40), rng.next_int(0, 40)};
+    double delta = 0.0;
+    switch (rng.next_int(0, 3)) {
+      case 0: delta = 1.0; break;
+      case 1: delta = rng.next_double(0.0, 3.0); break;
+      case 2: delta = -fast.at(p); break;  // erase-at-zero (or a 0 no-op)
+      default: delta = 0.0; break;
+    }
+    fast.add(p, delta);
+    slow.set(p, slow.at(p) + delta);
+  }
+  ASSERT_EQ(fast.support_size(), slow.support_size());
+  auto a = fast.begin();
+  for (auto b = slow.begin(); b != slow.end(); ++a, ++b) {
+    EXPECT_EQ(a->first, b->first);
+    EXPECT_EQ(std::memcmp(&a->second, &b->second, sizeof(double)), 0);
+  }
+  const double tf = fast.total(), ts = slow.total();
+  EXPECT_EQ(std::memcmp(&tf, &ts, sizeof(double)), 0);
+  EXPECT_THROW(fast.add(Point{99, 99}, -1.0), check_error);
+  EXPECT_DOUBLE_EQ(fast.at(Point{99, 99}), 0.0);
+  EXPECT_EQ(fast.support_size(), slow.support_size());
 }
 
 TEST(DemandMap, SupportSortedAndBoundingBox) {

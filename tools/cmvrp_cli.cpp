@@ -296,10 +296,12 @@ const char* admission_name(AdmissionPolicy policy) {
 // timeseries summary; v3 adds the Tier-A counter totals — messages by
 // kind, Phase I computation counts, cascade stats, admission gauges,
 // one counters_hash — plus Tier-B stage spans, which carry the *_ms /
-// wall_* naming the CI exclusion list strips). Exit code 0 iff no job
+// wall_* naming the CI exclusion list strips). `size_ms` is the set-up
+// spent sizing the config (demand pass + cube bound) before the engine's
+// `ms` started; 0 when --capacity/--side pinned it. Exit code 0 iff no job
 // failed or was dropped.
 int report_stream(const Args& args, const StreamConfig& cfg,
-                  const StreamResult& r, double ms) {
+                  const StreamResult& r, double size_ms, double ms) {
   const double jobs_per_sec =
       ms > 0.0 ? 1000.0 * static_cast<double>(r.jobs_ingested) / ms : 0.0;
 
@@ -346,6 +348,7 @@ int report_stream(const Args& args, const StreamConfig& cfg,
     t.row().cell("span ring evictions").cell(r.counters.spans_ring_evicted);
   }
   t.row().cell("max energy spent").cell(r.metrics.max_energy_spent);
+  t.row().cell("sizing ms").cell(size_ms);
   t.row().cell("wall ms").cell(ms);
   t.row().cell("jobs/sec").cell(jobs_per_sec);
   t.print(std::cout);
@@ -430,6 +433,7 @@ int report_stream(const Args& args, const StreamConfig& cfg,
     doc.set("stage_serve_ms", r.stages.serve_ms);
     doc.set("stage_fold_ms", r.stages.fold_ms);
     doc.set("stage_monitor_ms", r.stages.monitor_ms);
+    doc.set("stage_size_ms", size_ms);
     doc.set("wall_ms", ms);
     doc.set("jobs_per_sec", jobs_per_sec);
     std::ofstream out(args.get("json", ""));
@@ -448,11 +452,15 @@ int report_stream(const Args& args, const StreamConfig& cfg,
 // --capacity/--side, or (default) the theory config sized from the
 // stream's induced demand — produced lazily so the trace path only pays
 // its extra bounded pass over the mapping when it is actually needed.
+// `size_ms` receives the wall time of that demand pass plus the sizing
+// (0 when the config is pinned).
 StreamConfig stream_config_from_args(
-    const Args& args, int dim, const std::function<DemandMap()>& demand) {
+    const Args& args, int dim, const std::function<DemandMap()>& demand,
+    double& size_ms) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1));
   StreamConfig cfg;
+  size_ms = 0.0;
   cfg.threads = static_cast<int>(args.get_int("threads", 1));
   cfg.batch_size = args.get_int("batch", 256);
   cfg.online.seed = seed;
@@ -465,9 +473,11 @@ StreamConfig stream_config_from_args(
     // region geometry: cubes intersecting the demand bounding box get
     // dense slots (flat-state routing); stragglers outside still serve
     // via the corner-hashed overflow path with identical outcomes.
+    const WallTimer timer;
     const DemandMap d = demand();
     cfg.online = default_online_config(d, seed);
     cfg.region = d.bounding_box();
+    size_ms = timer.elapsed_ms();
   }
   // Monitoring amortization (outcome-preserving on failure-free streams;
   // failure detection latency <= stride arrivals per cube). 1 = sweep
@@ -618,10 +628,11 @@ class SpanFile {
   bool flight_only_;
 };
 
-StreamConfig trace_stream_config(const Args& args, TraceReader& reader) {
-  return stream_config_from_args(args, reader.dim(), [&reader] {
-    return trace_demand(reader);
-  });
+StreamConfig trace_stream_config(const Args& args, TraceReader& reader,
+                                 double& size_ms) {
+  return stream_config_from_args(
+      args, reader.dim(), [&reader] { return trace_demand(reader); },
+      size_ms);
 }
 
 // Closes the recorder, audits its incremental digests against the
@@ -659,7 +670,8 @@ int run_stream_serving(const Args& args, const std::string& record_path) {
   if (args.has("trace")) {
     TraceReader reader(args.get("trace", ""));
     CMVRP_CHECK_MSG(reader.job_count() > 0, "trace has no jobs");
-    const StreamConfig cfg = trace_stream_config(args, reader);
+    double size_ms = 0.0;
+    const StreamConfig cfg = trace_stream_config(args, reader, size_ms);
     WallTimer timer;
     TraceReplayer replayer(reader.dim(), cfg);
     if (!record_path.empty()) {
@@ -679,7 +691,7 @@ int run_stream_serving(const Args& args, const std::string& record_path) {
     const double ms = timer.elapsed_ms();
     if (recorder) finish_recording(*recorder, r);
     stats.close(args);
-    const int rc = report_stream(args, cfg, r, ms);
+    const int rc = report_stream(args, cfg, r, size_ms, ms);
     spans.finish(replayer.engine(), ms, rc == 0);
     return rc;
   }
@@ -709,8 +721,10 @@ int run_stream_serving(const Args& args, const std::string& record_path) {
   }
   CMVRP_CHECK_MSG(!jobs.empty(), "stream has no jobs");
 
+  double size_ms = 0.0;
   StreamConfig cfg = stream_config_from_args(
-      args, dim, [&jobs, dim] { return demand_of_stream(jobs, dim); });
+      args, dim, [&jobs, dim] { return demand_of_stream(jobs, dim); },
+      size_ms);
   // A registry scenario declares its region outright — use that geometry
   // for the slot table (it covers the stream by construction, even where
   // the sampled demand happens to leave gaps).
@@ -736,7 +750,7 @@ int run_stream_serving(const Args& args, const std::string& record_path) {
   const double ms = timer.elapsed_ms();
   if (recorder) finish_recording(*recorder, r);
   stats.close(args);
-  const int rc = report_stream(args, cfg, r, ms);
+  const int rc = report_stream(args, cfg, r, size_ms, ms);
   spans.finish(engine, ms, rc == 0);
   return rc;
 }
@@ -903,15 +917,19 @@ int cmd_trace_mux(const Args& args) {
     TraceReader first(paths.front());
     return first.dim();
   }();
-  const StreamConfig cfg = stream_config_from_args(args, dim, [&paths, dim] {
-    DemandMap merged(dim);
-    for (const auto& path : paths) {
-      TraceReader reader(path);
-      const DemandMap d = trace_demand(reader);
-      for (const auto& p : d.support()) merged.add(p, d.at(p));
-    }
-    return merged;
-  });
+  double size_ms = 0.0;
+  const StreamConfig cfg = stream_config_from_args(
+      args, dim,
+      [&paths, dim] {
+        DemandMap merged(dim);
+        for (const auto& path : paths) {
+          TraceReader reader(path);
+          const DemandMap d = trace_demand(reader);
+          for (const auto& p : d.support()) merged.add(p, d.at(p));
+        }
+        return merged;
+      },
+      size_ms);
 
   std::optional<OutcomeRecorder> recorder;
   WallTimer timer;
@@ -938,7 +956,7 @@ int cmd_trace_mux(const Args& args) {
             << " jobs merged by arrival index\n";
   if (recorder) finish_recording(*recorder, r);
   stats.close(args);
-  const int rc = report_stream(args, cfg, r, ms);
+  const int rc = report_stream(args, cfg, r, size_ms, ms);
   spans.finish(mux.engine(), ms, rc == 0);
   return rc;
 }
@@ -950,7 +968,8 @@ int cmd_trace_replay(const Args& args) {
   CLI_USAGE_CHECK(args.has("file"), "--file <trace file> is required");
   TraceReader reader(args.get("file", ""));
   CMVRP_CHECK_MSG(reader.job_count() > 0, "trace has no jobs");
-  const StreamConfig cfg = trace_stream_config(args, reader);
+  double size_ms = 0.0;
+  const StreamConfig cfg = trace_stream_config(args, reader, size_ms);
   StatsFile stats(args);
   SpanFile spans(args, reader.dim());
   if (args.has("memory")) {
@@ -968,7 +987,7 @@ int cmd_trace_replay(const Args& args) {
     }
     const double ms = timer.elapsed_ms();
     stats.close(args);
-    const int rc = report_stream(args, cfg, r, ms);
+    const int rc = report_stream(args, cfg, r, size_ms, ms);
     spans.finish(engine, ms, rc == 0);
     return rc;
   }
@@ -984,7 +1003,7 @@ int cmd_trace_replay(const Args& args) {
   }
   const double ms = timer.elapsed_ms();
   stats.close(args);
-  const int rc = report_stream(args, cfg, r, ms);
+  const int rc = report_stream(args, cfg, r, size_ms, ms);
   spans.finish(replayer.engine(), ms, rc == 0);
   return rc;
 }
