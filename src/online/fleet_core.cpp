@@ -33,6 +33,25 @@ FleetCore::FleetCore(int dim, const OnlineConfig& config, EventQueue& queue,
   }
   CMVRP_CHECK_MSG(config.sample_stride >= 0,
                   "sample stride must be >= 0 (0 = off)");
+  std::int64_t stride = 1;
+  for (int i = 0; i < dim; ++i) {
+    cell_stride_[i] = stride;
+    stride *= config.cube_side;
+  }
+  const std::int64_t r = config.neighbor_radius;
+  if (r >= 0) {
+    Point lo = Point::origin(dim);
+    for (int i = 0; i < dim; ++i) lo[i] = -r;
+    Box::cube(lo, 2 * r + 1).for_each_point([this, dim, r](const Point& d) {
+      if (d.l1_norm() > r) return;
+      BallCell cell{};
+      for (int i = 0; i < dim; ++i) {
+        cell.delta[i] = d[i];
+        cell.flat += d[i] * cell_stride_[i];
+      }
+      ball_.push_back(cell);
+    });
+  }
 }
 
 void FleetCore::bind_network() {
@@ -70,7 +89,6 @@ std::size_t FleetCore::ensure_vehicle(const Point& home, const Point& corner) {
   if (lg != longevity_.end() && lg->second == 0.0) v.dead = true;
   vehicles_.push_back(v);
   by_home_.emplace(home, v.id);
-  cube_members_[corner].push_back(v.id);
   // Register the vehicle's pair slot with the span recorder (the Chrome
   // exporter's tid axis) — for every vehicle, not just active ones: idle
   // vehicles appear in traces as relays and replacements.
@@ -102,8 +120,12 @@ void FleetCore::ensure_cube(const Point& corner) {
       static_cast<std::size_t>((pairing_.cube_volume() + 1) / 2);
   state.active_by_pair.assign(pairs, SIZE_MAX);
   state.active_since.assign(pairs, 0);
+  state.first_vid = vehicles_.size();
   Box::cube(corner, pairing_.side()).for_each_point([this, &corner](
       const Point& p) { ensure_vehicle(p, corner); });
+  CMVRP_CHECK_MSG(vehicles_.size() - state.first_vid ==
+                      static_cast<std::size_t>(pairing_.cube_volume()),
+                  "a cube's vehicles must take contiguous ids");
 }
 
 void FleetCore::ensure_cube_at(const Point& position) {
@@ -111,18 +133,75 @@ void FleetCore::ensure_cube_at(const Point& position) {
 }
 
 void FleetCore::neighbors_into(std::size_t vid,
-                               std::vector<std::size_t>& out) const {
+                               std::vector<std::size_t>& out) {
   out.clear();
   const Vehicle& v = vehicles_[vid];
   const Point corner = pairing_.cube_corner(v.pos);
-  auto it = cube_members_.find(corner);
-  if (it == cube_members_.end()) return;
-  for (std::size_t other : it->second) {
-    if (other == vid) continue;
-    const Vehicle& o = vehicles_[other];
-    if (l1_distance(o.pos, v.pos) <= config_.neighbor_radius)
-      out.push_back(other);
+  CubeState& st = state_of(corner);
+  if (st.cells_stale) rebuild_cells(st, corner);
+  const std::int64_t side = pairing_.side();
+  std::int64_t local[Point::kMaxDim];
+  std::int64_t cell = 0;
+  for (int i = 0; i < dim_; ++i) {
+    local[i] = v.pos[i] - corner[i];
+    cell += local[i] * cell_stride_[i];
   }
+  for (const BallCell& b : ball_) {
+    bool inside = true;
+    for (int i = 0; i < dim_ && inside; ++i) {
+      const std::int64_t c = local[i] + b.delta[i];
+      inside = c >= 0 && c < side;
+    }
+    if (!inside) continue;
+    const auto c = static_cast<std::size_t>(cell + b.flat);
+    for (std::uint32_t k = st.cell_start[c]; k < st.cell_start[c + 1]; ++k) {
+      const std::size_t other = st.first_vid + st.cell_vids[k];
+      if (other != vid) out.push_back(other);
+    }
+  }
+  // Ascending vid order (a scan over the cube's members) fixes the order
+  // of Phase I sends, and with it the network's delay draws.
+  std::sort(out.begin(), out.end());
+}
+
+void FleetCore::rebuild_cells(CubeState& st, const Point& corner) {
+  const auto volume = static_cast<std::size_t>(pairing_.cube_volume());
+  auto& cell_of = cell_scratch_;  // local vehicle index -> cell
+  cell_of.resize(volume);
+  st.cell_start.assign(volume + 1, 0);
+  for (std::size_t j = 0; j < volume; ++j) {
+    const Point& pos = vehicles_[st.first_vid + j].pos;
+    std::int64_t cell = 0;
+    for (int i = 0; i < dim_; ++i)
+      cell += (pos[i] - corner[i]) * cell_stride_[i];
+    cell_of[j] = static_cast<std::uint32_t>(cell);
+    ++st.cell_start[cell_of[j] + 1];
+  }
+  for (std::size_t c = 0; c < volume; ++c)
+    st.cell_start[c + 1] += st.cell_start[c];
+  // Place each vehicle at its cell's fill cursor (cell_start[c] advances
+  // to cell_start[c + 1]), then shift the starts back by one cell.
+  st.cell_vids.resize(volume);
+  for (std::size_t j = 0; j < volume; ++j)
+    st.cell_vids[st.cell_start[cell_of[j]]++] = static_cast<std::uint32_t>(j);
+  for (std::size_t c = volume; c > 0; --c)
+    st.cell_start[c] = st.cell_start[c - 1];
+  st.cell_start[0] = 0;
+  st.cells_stale = false;
+}
+
+void FleetCore::move_vehicle(Vehicle& v, const Point& to, CubeState& st,
+                             const Point& corner) {
+  const auto volume = static_cast<std::size_t>(pairing_.cube_volume());
+  bool inside = v.id - st.first_vid < volume;
+  for (int i = 0; i < dim_ && inside; ++i) {
+    const std::int64_t c = to[i] - corner[i];
+    inside = c >= 0 && c < pairing_.side();
+  }
+  CMVRP_CHECK_MSG(inside, "vehicle " << v.id << " would leave its cube for "
+                                     << to.to_string());
+  v.pos = to;
+  st.cells_stale = true;
 }
 
 const std::vector<Point>& FleetCore::primaries_of(const Point& corner) {
@@ -193,8 +272,8 @@ bool FleetCore::serve_job(const Job& job, const Point& cube_corner) {
     return false;
   }
   last_timing_.assigned_at = st.active_since[pair_slot];
+  move_vehicle(v, job.position, st, cube_corner);
   spend_travel(v, dist);
-  v.pos = job.position;
   v.spent_service += 1.0;
   check_longevity(v);
   ++metrics_.jobs_served;
@@ -374,8 +453,9 @@ void FleetCore::on_move(std::size_t vid, std::size_t from, const MoveMsg& m) {
         replacement_pending_[pit->second] = false;
       return;
     }
+    const Point own_corner = pairing_.cube_corner(v.home);
+    move_vehicle(v, m.dest, state_of(own_corner), own_corner);
     spend_travel(v, dist);
-    v.pos = m.dest;
     if (v.dead) {  // longevity tripped mid-move
       auto pit = pair_of_dest_.find(m.dest);
       if (pit != pair_of_dest_.end())
@@ -535,6 +615,13 @@ std::int64_t FleetCore::exhausted_permille() const {
 const Vehicle* FleetCore::vehicle_at_home(const Point& home) const {
   auto it = by_home_.find(home);
   return it == by_home_.end() ? nullptr : &vehicles_[it->second];
+}
+
+std::vector<std::size_t> FleetCore::neighbors_of(std::size_t vid) {
+  CMVRP_CHECK(vid < vehicles_.size());
+  std::vector<std::size_t> out;
+  neighbors_into(vid, out);
+  return out;
 }
 
 std::optional<std::size_t> FleetCore::active_of_pair(

@@ -11,15 +11,20 @@
 //   * the sharded streaming engine (one core per cube, each with its own
 //     queue and per-cube seeded network — see src/stream/).
 // Every protocol action is strictly intra-cube (neighbor lists never
-// cross a cube boundary), which is what makes the per-cube split exact
-// rather than approximate.
+// cross a cube boundary, and every serve or move keeps a vehicle inside
+// its own cube — checked at each position update), which is what makes
+// the per-cube split exact rather than approximate.
 //
 // Complexity: serving a job is O(1) plus amortized replacement cost; each
 // Phase I diffusing computation floods the O(s^ℓ) vehicles of one cube
 // through radius-r neighbor lists (O(s^ℓ · (2r+1)^ℓ) messages, realizing
 // Lemma 3.3.1's bounded-search claim), and Phase II relays one move
-// message along the computation tree. Vehicles materialize lazily, so
-// memory is O(touched cubes · s^ℓ).
+// message along the computation tree. A neighbor lookup walks the
+// radius-r L1 ball of cells around the vehicle in its cube's position
+// index and sorts the k vehicles found: O((2r+1)^ℓ + k log k). The index
+// is rebuilt, O(s^ℓ), on the first lookup after a position in the cube
+// changed — about once per flood, since serves and moves only mark it
+// stale. Vehicles materialize lazily, so memory is O(touched cubes · s^ℓ).
 #pragma once
 
 #include <cstddef>
@@ -241,6 +246,8 @@ class FleetCore {
 
   // Introspection for tests.
   const Vehicle* vehicle_at_home(const Point& home) const;
+  // vid's radius-r neighbors, exactly as Phase I queries them (ascending).
+  std::vector<std::size_t> neighbors_of(std::size_t vid);
   std::size_t vehicle_count() const { return vehicles_.size(); }
   std::optional<std::size_t> active_of_pair(const Point& any_member) const;
 
@@ -261,15 +268,39 @@ class FleetCore {
     // materialization time for the initial fleet — the "assignment"
     // timestamp of every job the slot subsequently serves.
     std::vector<SimTime> active_since;
+    // Position index for neighbor lookup, CSR over the cube's cells
+    // (local coordinates, axis 0 fastest): the vehicles standing on cell
+    // c are first_vid + cell_vids[cell_start[c] .. cell_start[c + 1]).
+    // The cube's vehicles are the contiguous vids [first_vid, first_vid +
+    // s^ℓ), and every vehicle stays inside its own cube. Position updates
+    // only set cells_stale; the next lookup rebuilds the index.
+    std::size_t first_vid = 0;
+    bool cells_stale = true;
+    std::vector<std::uint32_t> cell_start;
+    std::vector<std::uint32_t> cell_vids;
+  };
+
+  // One cell of the radius-r L1 ball around a vehicle: its per-axis
+  // offset and the matching flat offset in a cube's cell index.
+  struct BallCell {
+    std::int64_t delta[Point::kMaxDim];
+    std::int64_t flat;
   };
 
   std::size_t ensure_vehicle(const Point& home, const Point& corner);
   void ensure_cube(const Point& corner);
   CubeState& state_of(const Point& corner);
-  // Fills `out` with vid's radius-r cube-local neighbors (callers pass a
-  // reused scratch buffer; the serve path runs one of these per protocol
-  // message, so per-call vector churn was measurable).
-  void neighbors_into(std::size_t vid, std::vector<std::size_t>& out) const;
+  // Fills `out` with vid's radius-r cube-local neighbors in ascending vid
+  // order (callers pass a reused scratch buffer; the serve path runs one
+  // of these per protocol message, so per-call vector churn was
+  // measurable).
+  void neighbors_into(std::size_t vid, std::vector<std::size_t>& out);
+  // Counting-sorts the cube's vehicles into its cell index.
+  void rebuild_cells(CubeState& st, const Point& corner);
+  // Moves v to `to`, which must lie in v's own cube (`st` at `corner`),
+  // and marks that cube's position index stale.
+  void move_vehicle(Vehicle& v, const Point& to, CubeState& st,
+                    const Point& corner);
   // The pairing's primaries for `corner`, computed once per cube and
   // cached: the list is a pure function of the corner, and monitor_sweep
   // re-enumerated it on every settle.
@@ -317,9 +348,10 @@ class FleetCore {
   PointSet unrecoverable_;
   // Cubes already materialized (corner points).
   PointSet cubes_;
-  // Cube corner -> ids of the vehicles whose position lies in that cube.
-  std::unordered_map<Point, std::vector<std::size_t>, PointHash>
-      cube_members_;
+  // The radius-r L1 ball (empty when r < 0) and the flat stride of each
+  // axis in a cube's cell index; both fixed at construction.
+  std::vector<BallCell> ball_;
+  std::int64_t cell_stride_[Point::kMaxDim] = {};
   // Pending failure injections keyed by home vertex.
   std::unordered_map<Point, double, PointHash> longevity_;
   PointSet silent_homes_;
@@ -332,6 +364,7 @@ class FleetCore {
   // Reused scratch buffers for the message hot path and monitor sweeps.
   std::vector<std::size_t> neighbor_scratch_;
   std::vector<std::size_t> ring_scratch_;
+  std::vector<std::uint32_t> cell_scratch_;
 
   // Tier-A observability state (all obs-gated). Query counts are keyed
   // by packed InitTag; entries are never erased — a late relay may add

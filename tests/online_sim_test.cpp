@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <queue>
+#include <tuple>
+#include <vector>
+
+#include "grid/box.h"
 #include "online/capacity_search.h"
+#include "online/fleet_core.h"
 #include "online/simulation.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
@@ -47,6 +55,109 @@ TEST(EventQueue, DetectsLivelock) {
   };
   q.schedule(0, reschedule);
   EXPECT_THROW(q.run_to_quiescence(1000), check_error);
+}
+
+// Runs EventQueue against a reference (time, seq) binary heap kept here.
+// Every schedule goes to both; each step pops the reference minimum and
+// requires the queue to fire that very event at that time, with the same
+// pending/empty/processed bookkeeping. Delays reach 10x the near-tier
+// width, so both tiers fill, and handlers schedule while step() runs.
+class EventQueueDifferential {
+ public:
+  explicit EventQueueDifferential(std::uint64_t seed) : rng_(seed) {}
+
+  // Schedules event `id` at `at` on both queues; `children` more events
+  // are scheduled from inside its handler when it fires.
+  void schedule(SimTime at, int children) {
+    const std::size_t id = next_id_++;
+    ref_.push({at, id});
+    q_.schedule(at, [this, id, children] {
+      fired_.push_back(id);
+      for (int c = 0; c < children; ++c) spawn();
+    });
+  }
+
+  // A child with a mostly short delay (message-like: 0..4 ticks) and
+  // sometimes a long one (0..10x the near-tier width).
+  void spawn() {
+    if (next_id_ >= kMaxEvents) return;
+    const SimTime far = 10 * EventQueue::kNearTicks;
+    const SimTime delay = rng_.next_bool(0.7)
+                              ? rng_.next_int(0, 4)
+                              : rng_.next_int(0, far);
+    schedule(q_.now() + delay, static_cast<int>(rng_.next_int(0, 2)));
+  }
+
+  // Same-tick ties between the tiers: an event scheduled exactly
+  // kNearTicks ahead goes to the far tier; once the clock has moved one
+  // tick, more events at that tick go to the bucket and must fire after it.
+  void schedule_tier_ties() {
+    const SimTime t = q_.now() + EventQueue::kNearTicks;
+    schedule(t, 0);
+    const std::size_t id = next_id_++;
+    ref_.push({q_.now() + 1, id});
+    q_.schedule(q_.now() + 1, [this, id, t] {
+      fired_.push_back(id);
+      schedule(t, 1);
+      schedule(t, 0);
+    });
+  }
+
+  // Steps both queues to quiescence, checking every step.
+  void drain() {
+    while (!ref_.empty()) {
+      ASSERT_FALSE(q_.empty());
+      ASSERT_EQ(q_.pending(), ref_.size());
+      const Ref expect = ref_.top();
+      ref_.pop();
+      const std::uint64_t before = q_.processed();
+      ASSERT_TRUE(q_.step());
+      ASSERT_EQ(q_.processed(), before + 1);
+      ASSERT_FALSE(fired_.empty());
+      ASSERT_EQ(fired_.back(), expect.id) << "at t=" << expect.at;
+      ASSERT_EQ(q_.now(), expect.at);
+      ASSERT_EQ(q_.pending(), ref_.size());
+    }
+    EXPECT_TRUE(q_.empty());
+    EXPECT_EQ(q_.pending(), 0u);
+    EXPECT_FALSE(q_.step());
+    EXPECT_EQ(q_.processed(), next_id_);
+  }
+
+  EventQueue& queue() { return q_; }
+
+ private:
+  static constexpr std::size_t kMaxEvents = 20000;
+  // Ids are handed out in schedule order, i.e. they are the seq numbers.
+  struct Ref {
+    SimTime at;
+    std::size_t id;
+    bool operator>(const Ref& o) const {
+      return std::tie(at, id) > std::tie(o.at, o.id);
+    }
+  };
+
+  Rng rng_;
+  EventQueue q_;
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<>> ref_;
+  std::vector<std::size_t> fired_;
+  std::size_t next_id_ = 0;
+};
+
+TEST(EventQueue, MatchesReferenceHeapOnRandomSchedules) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    EventQueueDifferential diff(seed);
+    for (int i = 0; i < 40; ++i) diff.spawn();
+    diff.schedule_tier_ties();
+    diff.drain();
+    // Restart from a clock far from zero: buckets wrap around the ring.
+    const SimTime base = diff.queue().now() + 1000;
+    diff.schedule(base, 3);
+    diff.schedule_tier_ties();
+    diff.schedule(base, 2);
+    diff.drain();
+  }
 }
 
 TEST(Network, ChannelsAreFifo) {
@@ -302,6 +413,149 @@ TEST(OnlineSim, ConstantBreakagesToleratedWithModestEnergy) {
     jobs.push_back({Point{rng.next_int(0, 5), rng.next_int(0, 5)}, i});
   EXPECT_TRUE(sim.run(jobs));
   EXPECT_EQ(sim.metrics().jobs_served, 40u);
+}
+
+// --- neighbor index -----------------------------------------------------------
+
+// A FleetCore on its own queue and network, as the streaming engine runs it.
+struct CoreHarness {
+  CoreHarness(int dim, const OnlineConfig& config)
+      : network(queue, Rng(config.seed), config.max_message_delay),
+        core(dim, config, queue, network) {
+    core.bind_network();
+  }
+  EventQueue queue;
+  Network network;
+  FleetCore core;
+};
+
+// Reference neighbor lookup: scan every vehicle of vid's cube in id order
+// and keep the others within L1 radius r of it.
+std::vector<std::size_t> member_scan(const FleetCore& core, std::size_t vid,
+                                     const std::vector<const Vehicle*>& fleet) {
+  const Vehicle& v = *fleet[vid];
+  const Box cube = core.pairing().cube_of(v.home);
+  std::vector<std::size_t> out;
+  for (const Vehicle* o : fleet) {
+    if (o->id == vid || !cube.contains(o->home)) continue;
+    if (l1_distance(o->pos, v.pos) <= core.config().neighbor_radius)
+      out.push_back(o->id);
+  }
+  return out;
+}
+
+// Every materialized vehicle, indexed by id.
+std::vector<const Vehicle*> fleet_of(const FleetCore& core,
+                                     const std::vector<Point>& corners) {
+  std::vector<const Vehicle*> fleet(core.vehicle_count(), nullptr);
+  for (const Point& corner : corners) {
+    Box::cube(corner, core.pairing().side()).for_each_point(
+        [&](const Point& p) {
+          const Vehicle* v = core.vehicle_at_home(p);
+          fleet[v->id] = v;
+        });
+  }
+  return fleet;
+}
+
+// Checks the index lookup for every vehicle; returns how many vehicles
+// share their vertex with another vehicle.
+std::size_t expect_index_matches_scan(FleetCore& core,
+                                      const std::vector<Point>& corners) {
+  const auto fleet = fleet_of(core, corners);
+  std::size_t colocated = 0;
+  for (std::size_t vid = 0; vid < fleet.size(); ++vid) {
+    EXPECT_EQ(core.neighbors_of(vid), member_scan(core, vid, fleet))
+        << "vehicle " << vid << " at " << fleet[vid]->pos.to_string();
+    for (const Vehicle* o : fleet)
+      if (o->id != vid && o->pos == fleet[vid]->pos) {
+        ++colocated;
+        break;
+      }
+  }
+  return colocated;
+}
+
+TEST(NeighborIndex, MatchesMemberScanThroughServesAndMoves) {
+  for (int dim = 1; dim <= 3; ++dim) {
+    for (std::int64_t radius = 0; radius <= 3; ++radius) {
+      SCOPED_TRACE(testing::Message() << "dim " << dim << " r " << radius);
+      OnlineConfig c;
+      c.capacity = 7.0;  // a few jobs per vehicle, then a replacement
+      c.cube_side = dim == 3 ? 3 : 4;
+      c.anchor = Point::origin(dim);
+      c.neighbor_radius = radius;
+      c.seed = 11 + static_cast<std::uint64_t>(dim * 4 + radius);
+      CoreHarness h(dim, c);
+      // Two cubes, one on the negative side of the anchor.
+      Point a = Point::origin(dim);
+      Point b = Point::origin(dim);
+      b[0] = -c.cube_side;
+      const std::vector<Point> corners{a, b};
+      for (const Point& corner : corners) h.core.ensure_cube_at(corner);
+      expect_index_matches_scan(h.core, corners);  // fresh index
+      Rng rng(c.seed);
+      std::size_t colocated = 0;
+      for (std::int64_t j = 0; j < 60; ++j) {
+        Point p = corners[rng.next_below(2)];
+        for (int i = 0; i < dim; ++i) p[i] += rng.next_int(0, c.cube_side - 1);
+        h.core.serve_job(Job{p, j});
+        h.queue.run_to_quiescence();
+        if (j % 7 == 6) h.core.settle();
+        colocated += expect_index_matches_scan(h.core, corners);
+      }
+      // Radius 0 only reaches co-located vehicles, so a flood may find
+      // none; otherwise moves must have dirtied the index too.
+      if (radius > 0) {
+        EXPECT_GT(h.core.metrics().replacements, 0u);
+      }
+      // A served job moves the active vehicle onto its idle partner, and a
+      // replacement lands on its done predecessor's vertex.
+      EXPECT_GT(colocated, 0u);
+    }
+  }
+}
+
+TEST(NeighborIndex, CornerAndFaceVehiclesAreClipped) {
+  OnlineConfig c;
+  c.capacity = 10.0;
+  c.cube_side = 4;
+  c.anchor = Point{0, 0};
+  c.neighbor_radius = 2;
+  CoreHarness h(2, c);
+  h.core.ensure_cube_at(Point{0, 0});
+  h.core.ensure_cube_at(Point{4, 0});  // adjacent cube: never a neighbor
+  const auto id = [&](std::int64_t x, std::int64_t y) {
+    return h.core.vehicle_at_home(Point{x, y})->id;
+  };
+  // Corner (0,0): the in-cube part of the radius-2 ball is 6 cells.
+  std::vector<std::size_t> corner{id(0, 1), id(0, 2), id(1, 0),
+                                  id(1, 1), id(2, 0)};
+  std::sort(corner.begin(), corner.end());
+  EXPECT_EQ(h.core.neighbors_of(id(0, 0)), corner);
+  // Face (3,1): the cube at x >= 4 is out of reach, whatever the radius.
+  std::vector<std::size_t> face{id(1, 1), id(2, 0), id(2, 1), id(2, 2),
+                                id(3, 0), id(3, 2), id(3, 3)};
+  std::sort(face.begin(), face.end());
+  EXPECT_EQ(h.core.neighbors_of(id(3, 1)), face);
+}
+
+TEST(NeighborIndex, MoveOutsideOwnCubeIsRejected) {
+  OnlineConfig c;
+  c.capacity = 10.0;
+  c.cube_side = 4;
+  c.anchor = Point{0, 0};
+  CoreHarness h(2, c);
+  h.core.ensure_cube_at(Point{0, 0});
+  h.core.ensure_cube_at(Point{4, 0});
+  // (0,1) hosts an idle vehicle (odd snake index); a move message that
+  // would carry it into the neighboring cube must fail the invariant.
+  const Vehicle* idle = h.core.vehicle_at_home(Point{0, 1});
+  ASSERT_EQ(idle->s1, WorkState::kIdle);
+  EXPECT_THROW(h.core.on_message(idle->id, idle->id,
+                                 MoveMsg{Point{4, 1}, InitTag{0, 1}}),
+               check_error);
+  EXPECT_EQ(idle->pos, (Point{0, 1}));
 }
 
 // --- capacity search / Theorem 1.4.2 ----------------------------------------
