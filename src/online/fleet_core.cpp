@@ -60,6 +60,7 @@ void FleetCore::bind_network() {
 }
 
 void FleetCore::inject_silent_done(const Point& home) {
+  sweep_clean_ = false;
   silent_homes_.insert(home);
   auto it = by_home_.find(home);
   if (it != by_home_.end()) vehicles_[it->second].silent_done = true;
@@ -67,6 +68,7 @@ void FleetCore::inject_silent_done(const Point& home) {
 
 void FleetCore::inject_break_after(const Point& home, double longevity) {
   CMVRP_CHECK(longevity >= 0.0 && longevity <= 1.0);
+  sweep_clean_ = false;
   longevity_[home] = longevity;
   auto it = by_home_.find(home);
   if (it != by_home_.end() && longevity == 0.0)
@@ -115,6 +117,7 @@ FleetCore::CubeState& FleetCore::state_of(const Point& corner) {
 
 void FleetCore::ensure_cube(const Point& corner) {
   if (!cubes_.insert(corner).second) return;
+  sweep_clean_ = false;
   auto& state = cube_state_[corner];
   const auto pairs =
       static_cast<std::size_t>((pairing_.cube_volume() + 1) / 2);
@@ -283,8 +286,11 @@ bool FleetCore::serve_job(const Job& job, const Point& cube_corner) {
 
 void FleetCore::after_serving(std::size_t vid, const Point& cube_corner) {
   // Fast exit for the common case (vehicle healthy, not exhausted): the
-  // pair primary is only resolved on the rare done/dead branches.
+  // pair primary is only resolved on the rare done/dead branches, which
+  // change what the next monitor sweep reads.
   Vehicle& v = vehicles_[vid];
+  if (!v.dead && !v.exhausted()) return;
+  sweep_clean_ = false;
   if (v.dead) {
     // Broke mid-service (longevity): the monitoring ring must notice.
     const Point primary = pairing_.primary(v.pos, cube_corner);
@@ -295,7 +301,6 @@ void FleetCore::after_serving(std::size_t vid, const Point& cube_corner) {
     pair_of_dest_[v.pos] = primary;
     return;
   }
-  if (!v.exhausted()) return;
   const Point dest = v.pos;
   const Point primary = pairing_.primary(dest, cube_corner);
   note_done(v, cube_corner, primary);
@@ -306,6 +311,7 @@ void FleetCore::after_serving(std::size_t vid, const Point& cube_corner) {
 
 void FleetCore::initiate_computation(std::size_t initiator,
                                      const Point& dest) {
+  sweep_clean_ = false;
   Vehicle& v = vehicles_[initiator];
   v.s2 = TransferState::kInitiator;
   v.par = SIZE_MAX;
@@ -345,6 +351,7 @@ void FleetCore::obs_note_queries(const InitTag& init, std::size_t count) {
 
 void FleetCore::on_message(std::size_t to, std::size_t from,
                            const Message& m) {
+  sweep_clean_ = false;
   switch (m.index()) {
     case 0:
       on_query(to, from, std::get<QueryMsg>(m));
@@ -505,6 +512,15 @@ void FleetCore::monitor_sweep() {
   // loop of monitoring pointers; every healthy active vehicle beacons its
   // ring predecessor, and a slot whose beacon is missing gets a diffusing
   // computation initiated on its behalf by that predecessor.
+  if (sweep_clean_) {
+    // Nothing this sweep reads changed since the last one, which acted on
+    // nothing: it would build the same rings, send the same heartbeats in
+    // the same order, and act on nothing again. Only the sends remain.
+    for (const Network::Channel ch : beacons_) network_.heartbeat_on(ch);
+    return;
+  }
+  beacons_.clear();
+  sweep_clean_ = true;  // until a state change below clears it
   for (const auto& corner : cubes_) {
     const auto& primaries = primaries_of(corner);
     // The flat pair-slot array (slot i <-> primaries[i]: both are ordered
@@ -525,7 +541,7 @@ void FleetCore::monitor_sweep() {
     for (std::size_t k = 0; k < ring.size(); ++k) {
       const auto from = active[ring[k]];
       const auto to = active[ring[(k + ring.size() - 1) % ring.size()]];
-      if (from != to) network_.send(from, to, ExistingMsg{});
+      if (from != to) beacons_.push_back(network_.heartbeat(from, to));
     }
     // Timeout detection: slots with no healthy active vehicle and no
     // replacement already in flight.
@@ -553,6 +569,7 @@ void FleetCore::monitor_sweep() {
         Vehicle& v = vehicles_[vid];
         if (v.dead || v.s1 != WorkState::kActive) {
           active[i] = SIZE_MAX;
+          sweep_clean_ = false;
           pair_of_dest_[v.pos] = primary;
           dest = v.pos;
           needs_replacement = true;

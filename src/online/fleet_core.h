@@ -25,6 +25,11 @@
 // is rebuilt, O(s^ℓ), on the first lookup after a position in the cube
 // changed — about once per flood, since serves and moves only mark it
 // stale. Vehicles materialize lazily, so memory is O(touched cubes · s^ℓ).
+// A §3.2.5 settle costs O(ring) delay draws — one per heartbeat — when
+// nothing the ring reads has changed since the last sweep, which is the
+// steady state between failures; the full O(slots) sweep (ring build,
+// timeout scan) runs only after a state change: a new cube, a failure
+// injection, a vehicle going done or dead, or any protocol message.
 #pragma once
 
 #include <cstddef>
@@ -364,6 +369,16 @@ class FleetCore {
   // Reused scratch buffers for the message hot path and monitor sweeps.
   std::vector<std::size_t> neighbor_scratch_;
   std::vector<std::size_t> ring_scratch_;
+  // Clean-sweep replay (monitor_sweep). sweep_clean_ is set only by a
+  // full sweep that changed nothing, and cleared by every change to what
+  // a sweep reads: the cube set, the active slots, a vehicle's dead/s1/s2,
+  // replacement_pending_, pair_of_dest_ and unrecoverable_. The sites:
+  // ensure_cube, the inject_* calls, after_serving's done/dead branch,
+  // on_message, initiate_computation and the sweep's own slot release.
+  // beacons_ holds the last full sweep's heartbeat channels in send order
+  // (cubes_ order, ring order within a cube), which a clean sweep replays.
+  bool sweep_clean_ = false;
+  std::vector<Network::Channel> beacons_;
   std::vector<std::uint32_t> cell_scratch_;
 
   // Tier-A observability state (all obs-gated). Query counts are keyed

@@ -24,7 +24,7 @@ struct NetworkStats {
   std::uint64_t replies = 0;
   std::uint64_t moves = 0;
   std::uint64_t heartbeats = 0;
-  // §3.2.5 heartbeats whose scheduler round-trip send() elided (the
+  // §3.2.5 heartbeats whose scheduler round-trip heartbeat() elided (the
   // receiving side is a protocol no-op). Every skip is also counted in
   // `heartbeats`; total() therefore excludes it.
   std::uint64_t heartbeat_skips = 0;
@@ -68,30 +68,15 @@ class Network {
   void set_spans(SpanRecorder* spans) { spans_ = spans; }
 
   // Sends m from -> to with a random delay in [1, 1 + max_delay], clamped
-  // so the channel stays FIFO.
+  // so the channel stays FIFO. Heartbeats take heartbeat() below.
   void send(std::size_t from, std::size_t to, Message m) {
     CMVRP_CHECK_MSG(receiver_, "network has no receiver bound");
-    count(m);
-    const SimTime delay =
-        1 + static_cast<SimTime>(
-                max_delay_ > 0
-                    ? rng_.next_below(static_cast<std::uint64_t>(max_delay_) + 1)
-                    : 0);
-    SimTime at = queue_.now() + delay;
-    SimTime& last = last_delivery_[channel_key(from, to)];
-    if (at <= last) at = last + 1;  // preserve per-channel ordering
-    last = at;
-    // §3.2.5 heartbeats ("existing" messages) are protocol no-ops on the
-    // receiving side — monitoring reads fleet state directly, never the
-    // message. The send still draws its delay (keeping every generator
-    // sequence aligned) and still advances the channel's FIFO clamp, but
-    // skips the queue roundtrip: at ~1 heartbeat per arrival the
-    // schedule/sift/dispatch cycle of a do-nothing delivery was a top
-    // entry in the serving profile.
     if (m.index() == 3) {
-      ++stats_.heartbeat_skips;
+      heartbeat(from, to);
       return;
     }
+    count(m);
+    const SimTime at = advance(last_delivery_[channel_key(from, to)]);
     if (spans_ != nullptr) {
       spans_->message(queue_.now(), /*send=*/true, static_cast<int>(m.index()),
                       span_comp(m), from, to, span_hop(m));
@@ -106,12 +91,37 @@ class Network {
     });
   }
 
+  // A stable handle on one (from, to) channel's FIFO state.
+  using Channel = std::uint32_t;
+
+  // Sends a §3.2.5 heartbeat ("existing" message) from -> to and returns
+  // the channel's handle. Heartbeats are protocol no-ops on the receiving
+  // side — monitoring reads fleet state directly, never the message — so
+  // the send counts it, draws its delay (keeping every generator sequence
+  // aligned) and advances the channel's FIFO clamp, but never enters the
+  // queue: at ~1 heartbeat per arrival the schedule/dispatch cycle of a
+  // do-nothing delivery was a top entry in the serving profile. Spans
+  // never see heartbeats.
+  Channel heartbeat(std::size_t from, std::size_t to) {
+    const Channel ch = last_delivery_.position_of(channel_key(from, to));
+    heartbeat_on(ch);
+    return ch;
+  }
+
+  // heartbeat() on a channel it returned, with no hash probe. Channels
+  // are never forgotten, so a handle stays valid for the network's life.
+  void heartbeat_on(Channel ch) {
+    ++stats_.heartbeats;
+    ++stats_.heartbeat_skips;
+    advance(last_delivery_.at_position(ch));
+  }
+
   const NetworkStats& stats() const { return stats_; }
 
  private:
   // Span-layer scalars of a message: the owning computation's packed
   // InitTag and (for queries) the hop the message travels at. Heartbeats
-  // never reach these (send() elides them first).
+  // never reach these (send() hands them to heartbeat() first).
   static std::uint64_t span_comp(const Message& m) {
     switch (m.index()) {
       case 0:
@@ -139,10 +149,22 @@ class Network {
       case 2:
         ++stats_.moves;
         break;
-      case 3:
-        ++stats_.heartbeats;
-        break;
     }
+  }
+
+  // Draws a message's delivery time on the channel whose latest delivery
+  // is `last`, and makes it the new latest: now + [1, 1 + max_delay],
+  // clamped past `last` so the channel stays FIFO.
+  SimTime advance(SimTime& last) {
+    SimTime at =
+        queue_.now() + 1 +
+        static_cast<SimTime>(
+            max_delay_ > 0
+                ? rng_.next_below(static_cast<std::uint64_t>(max_delay_) + 1)
+                : 0);
+    if (at <= last) at = last + 1;
+    last = at;
+    return at;
   }
 
   // Channel key packs (from, to) into one word. Vehicle ids are dense

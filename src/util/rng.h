@@ -17,11 +17,29 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  // Uniform over all 64-bit values.
-  std::uint64_t next_u64();
+  // Uniform over all 64-bit values. Inline (as is next_below's mask
+  // path): the simulator draws one per message.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  // Uniform integer in [0, bound). bound must be > 0.
-  std::uint64_t next_below(std::uint64_t bound);
+  // Uniform integer in [0, bound). bound must be > 0. Rejection sampling
+  // avoids modulo bias; a power-of-two bound has rejection threshold
+  // 2^64 mod bound = 0, so it keeps every draw and r % bound is a mask —
+  // the same draws and values either way.
+  std::uint64_t next_below(std::uint64_t bound) {
+    if (bound != 0 && (bound & (bound - 1)) == 0)
+      return next_u64() & (bound - 1);
+    return next_below_rejecting(bound);
+  }
 
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t next_int(std::int64_t lo, std::int64_t hi);
@@ -55,6 +73,11 @@ class Rng {
   Rng split();
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+  std::uint64_t next_below_rejecting(std::uint64_t bound);
+
   std::uint64_t s_[4];
   bool have_gaussian_ = false;
   double spare_gaussian_ = 0.0;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <iomanip>
 #include <queue>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "online/simulation.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
+#include "stream/engine.h"
 #include "workload/generators.h"
 
 namespace cmvrp {
@@ -191,6 +195,75 @@ TEST(Network, CountsByKind) {
   EXPECT_EQ(net.stats().moves, 1u);
   EXPECT_EQ(net.stats().heartbeats, 1u);
   EXPECT_EQ(net.stats().total(), 4u);
+}
+
+// Heartbeats sent as ExistingMsg through send() and through channel
+// handles must leave the network in the same state: same delay draws,
+// same FIFO clamps, same counts. Real queries interleave on the same
+// channels, so any drift in a clamp or a draw reorders their deliveries.
+TEST(Network, HeartbeatHandlesMatchExistingMsgSends) {
+  struct Delivery {
+    SimTime at;
+    std::size_t from, to;
+    std::uint64_t seq;
+    bool operator==(const Delivery& o) const {
+      return std::tie(at, from, to, seq) == std::tie(o.at, o.from, o.to, o.seq);
+    }
+  };
+  for (const SimTime max_delay : {0, 3, 7}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE("max_delay " + std::to_string(max_delay) + " seed " +
+                   std::to_string(seed));
+      EventQueue qa, qb;
+      Network a(qa, Rng(seed), max_delay), b(qb, Rng(seed), max_delay);
+      std::vector<Delivery> got_a, got_b;
+      a.set_receiver([&](std::size_t to, std::size_t from, const Message& m) {
+        got_a.push_back({qa.now(), from, to, std::get<QueryMsg>(m).init.seq});
+      });
+      b.set_receiver([&](std::size_t to, std::size_t from, const Message& m) {
+        got_b.push_back({qb.now(), from, to, std::get<QueryMsg>(m).init.seq});
+      });
+      std::vector<std::vector<Network::Channel>> handle(
+          5, std::vector<Network::Channel>(5, UINT32_MAX));
+      Rng script(100 + seed);
+      for (std::uint64_t op = 0; op < 3000; ++op) {
+        const auto from = static_cast<std::size_t>(script.next_below(5));
+        const auto to = static_cast<std::size_t>(script.next_below(5));
+        const std::uint64_t kind = script.next_below(8);
+        if (kind < 5) {
+          a.send(from, to, ExistingMsg{});
+          Network::Channel& h = handle[from][to];
+          if (h == UINT32_MAX || kind == 0) {
+            const Network::Channel got = b.heartbeat(from, to);
+            if (h != UINT32_MAX) {
+              ASSERT_EQ(got, h);  // handles are stable
+            }
+            h = got;
+          } else {
+            b.heartbeat_on(h);
+          }
+        } else if (kind < 7) {
+          const QueryMsg q{InitTag{from, op}, 1};
+          a.send(from, to, q);
+          b.send(from, to, q);
+        } else {
+          // Let time pass: clamps set by heartbeats outlive the clock.
+          for (std::uint64_t k = script.next_below(4); k > 0; --k) {
+            qa.step();
+            qb.step();
+          }
+        }
+        ASSERT_EQ(qa.now(), qb.now());
+      }
+      qa.run_to_quiescence();
+      qb.run_to_quiescence();
+      EXPECT_GT(got_a.size(), 500u);
+      EXPECT_TRUE(got_a == got_b);
+      EXPECT_TRUE(a.stats() == b.stats());
+      EXPECT_GT(b.stats().heartbeats, 1500u);
+      EXPECT_EQ(b.stats().heartbeat_skips, b.stats().heartbeats);
+    }
+  }
 }
 
 // --- basic serving ------------------------------------------------------------
@@ -556,6 +629,331 @@ TEST(NeighborIndex, MoveOutsideOwnCubeIsRejected) {
                                  MoveMsg{Point{4, 1}, InitTag{0, 1}}),
                check_error);
   EXPECT_EQ(idle->pos, (Point{0, 1}));
+}
+
+// --- §3.2.5 ring golden outcomes ---------------------------------------------
+//
+// The monitoring ring's outcomes under failures, pinned: every
+// OnlineMetrics field (network counts included) and the failed-job list
+// of small runs that break, silence or starve vehicles. Served jobs are
+// the complement of the failed ones. The constants were captured from the
+// full-sweep ring, which rebuilt the ring and rescanned every slot on each
+// settle; a settle that replays its cached heartbeats after a state change
+// it missed would drift from them.
+
+enum class RingScenario {
+  kBreakAtStart,    // longevity 0: dead before the first arrival
+  kBreakMidStream,  // longevity 0.2-0.3: dies while serving
+  kSilentDone,      // exhausts without initiating (scenario 2)
+  kUndersized,      // W = 3 and the victims dead at start: cubes run out
+                    // of idle vehicles, leaving unrecoverable slots
+  kStreamSilent,    // StreamEngine, silent-done injected between ingests
+};
+
+struct RingCase {
+  RingScenario scenario;
+  int dim;
+  std::int64_t stride;
+};
+
+struct RingOutcome {
+  std::uint64_t served, failed, replacements, comps_started, comps_failed,
+      monitor_initiations;
+  std::uint64_t queries, replies, moves, heartbeats, heartbeat_skips;
+  double max_energy, total_energy;
+  std::uint64_t travel;
+  std::vector<std::int64_t> failed_jobs;
+
+  friend bool operator==(const RingOutcome& a, const RingOutcome& b) {
+    return std::tie(a.served, a.failed, a.replacements, a.comps_started,
+                    a.comps_failed, a.monitor_initiations, a.queries,
+                    a.replies, a.moves, a.heartbeats, a.heartbeat_skips,
+                    a.max_energy, a.total_energy, a.travel, a.failed_jobs) ==
+           std::tie(b.served, b.failed, b.replacements, b.comps_started,
+                    b.comps_failed, b.monitor_initiations, b.queries,
+                    b.replies, b.moves, b.heartbeats, b.heartbeat_skips,
+                    b.max_energy, b.total_energy, b.travel, b.failed_jobs);
+  }
+};
+
+std::string as_initializer(const RingOutcome& o) {
+  std::ostringstream s;
+  s << std::setprecision(17) << "{" << o.served << ", " << o.failed << ", "
+    << o.replacements << ", " << o.comps_started << ", " << o.comps_failed
+    << ", " << o.monitor_initiations << ", " << o.queries << ", "
+    << o.replies << ", " << o.moves << ", " << o.heartbeats << ", "
+    << o.heartbeat_skips << ", " << o.max_energy << ", " << o.total_energy
+    << ", " << o.travel << ", {";
+  for (std::size_t i = 0; i < o.failed_jobs.size(); ++i)
+    s << (i ? ", " : "") << o.failed_jobs[i];
+  s << "}}";
+  return s.str();
+}
+
+RingOutcome outcome_of(const OnlineMetrics& m,
+                       std::vector<std::int64_t> failed_jobs) {
+  const NetworkStats& n = m.network;
+  return {m.jobs_served,          m.jobs_failed,
+          m.replacements,         m.computations_started,
+          m.computations_failed,  m.monitor_initiations,
+          n.queries,              n.replies,
+          n.moves,                n.heartbeats,
+          n.heartbeat_skips,      m.max_energy_spent,
+          m.total_energy_spent,   m.total_travel,
+          std::move(failed_jobs)};
+}
+
+// Scenario inputs: side-4 squares (ℓ = 2) or side-3 cubes (ℓ = 3, odd
+// volume, so one pair slot has no idle partner), 2^ℓ cubes of uniform
+// demand with every third arrival aimed at a victim's home.
+struct RingInputs {
+  OnlineConfig config;
+  std::vector<Job> jobs;
+  std::vector<Point> victims;  // active homes the failures target
+  double longevity[3] = {0.0, 0.0, 0.0};
+};
+
+RingInputs ring_inputs(const RingCase& c) {
+  RingInputs in;
+  const int dim = c.dim;
+  const std::int64_t side = dim == 2 ? 4 : 3;
+  OnlineConfig& cfg = in.config;
+  cfg.cube_side = side;
+  cfg.anchor = Point::origin(dim);
+  cfg.seed = 5;
+  cfg.monitor_stride = c.stride;
+  std::size_t count = 90;
+  switch (c.scenario) {
+    case RingScenario::kBreakAtStart:
+      cfg.capacity = 8.0;
+      break;
+    case RingScenario::kBreakMidStream:
+      cfg.capacity = 20.0;
+      in.longevity[0] = 0.2;
+      in.longevity[1] = 0.3;
+      in.longevity[2] = 0.25;
+      break;
+    case RingScenario::kSilentDone:
+    case RingScenario::kStreamSilent:
+      cfg.capacity = 6.0;
+      break;
+    case RingScenario::kUndersized:
+      cfg.capacity = 3.0;
+      count = 160;
+      break;
+  }
+  const CubePairing pairing(dim, cfg.anchor, side);
+  const Point origin = Point::origin(dim);
+  Point far = origin;
+  far[dim - 1] = side;  // a second cube
+  const auto& near_primaries = pairing.primaries_in_cube(origin);
+  in.victims = {near_primaries[0], near_primaries[3],
+                pairing.primaries_in_cube(far)[1]};
+  Rng rng(17);
+  for (std::size_t i = 0; i < count; ++i) {
+    Point p = Point::origin(dim);
+    if (i % 3 == 2) {
+      p = in.victims[(i / 3) % in.victims.size()];
+    } else {
+      for (int a = 0; a < dim; ++a) p[a] = rng.next_int(0, 2 * side - 1);
+    }
+    in.jobs.push_back({p, static_cast<std::int64_t>(i)});
+  }
+  return in;
+}
+
+template <class Target>
+void inject_failures(Target& target, const RingCase& c, const RingInputs& in) {
+  for (std::size_t i = 0; i < in.victims.size(); ++i) {
+    if (c.scenario == RingScenario::kBreakAtStart ||
+        c.scenario == RingScenario::kBreakMidStream ||
+        c.scenario == RingScenario::kUndersized)
+      target.inject_break_after(in.victims[i], in.longevity[i]);
+    else
+      target.inject_silent_done(in.victims[i]);
+  }
+}
+
+RingOutcome run_ring_case(const RingCase& c) {
+  const RingInputs in = ring_inputs(c);
+  const int dim = c.dim;
+  if (c.scenario == RingScenario::kStreamSilent) {
+    StreamConfig sc;
+    sc.online = in.config;
+    sc.batch_size = 8;
+    StreamEngine engine(dim, sc);
+    // A third in, so the victims still have work left to go silent on.
+    const std::size_t split = in.jobs.size() / 3;
+    engine.ingest(in.jobs.data(), split);
+    for (const Point& home : in.victims) engine.inject_silent_done(home);
+    engine.ingest(in.jobs.data() + split, in.jobs.size() - split);
+    const StreamResult r = engine.finish();
+    EXPECT_EQ(r.served_jobs.size() + r.failed_jobs.size(), in.jobs.size());
+    return outcome_of(r.metrics, r.failed_jobs);
+  }
+  OnlineSimulation sim(dim, in.config);
+  inject_failures(sim, c, in);
+  sim.run(in.jobs);
+  // OnlineSimulation::run reports only totals; the same loop over a bare
+  // core yields the per-job outcomes, and must agree on every metric.
+  CoreHarness h(dim, in.config);
+  inject_failures(h.core, c, in);
+  for (const Job& job : in.jobs) h.core.ensure_cube_at(job.position);
+  h.core.monitor_sweep();
+  h.queue.run_to_quiescence();
+  std::vector<std::int64_t> failed;
+  std::int64_t since_settle = 0;
+  for (const Job& job : in.jobs) {
+    if (!h.core.serve_job(job)) failed.push_back(job.index);
+    h.queue.run_to_quiescence();
+    if (++since_settle >= c.stride) {
+      h.core.settle();
+      since_settle = 0;
+    }
+  }
+  if (since_settle > 0) h.core.settle();
+  h.core.finalize_metrics();
+  EXPECT_TRUE(h.core.metrics() == sim.metrics());
+  return outcome_of(h.core.metrics(), std::move(failed));
+}
+
+struct RingGolden {
+  RingCase c;
+  RingOutcome want;
+};
+
+const RingGolden kRingGolden[] = {
+    {{RingScenario::kBreakAtStart, 2, 1},
+     {90, 0, 10, 10, 0, 3, 753, 753, 10, 2909, 2909, 7, 131, 41, {}}},
+    {{RingScenario::kBreakAtStart, 2, 3},
+     {90, 0, 10, 10, 0, 3, 751, 751, 10, 989, 989, 7, 131, 41, {}}},
+    {{RingScenario::kBreakAtStart, 3, 1},
+     {90, 0, 7, 7, 0, 3, 1210, 1210, 7, 10189, 10189, 7, 129, 39, {}}},
+    {{RingScenario::kBreakAtStart, 3, 3},
+     {90, 0, 7, 7, 0, 3, 1210, 1210, 7, 3469, 3469, 7, 129, 39, {}}},
+    {{RingScenario::kBreakMidStream, 2, 1},
+     {90, 0, 3, 3, 0, 3, 179, 179, 3, 3005, 3005, 15, 126, 36, {}}},
+    {{RingScenario::kBreakMidStream, 2, 3},
+     {90, 0, 3, 3, 0, 3, 178, 178, 3, 1085, 1085, 13, 128, 38, {}}},
+    {{RingScenario::kBreakMidStream, 3, 1},
+     {90, 0, 3, 3, 0, 3, 468, 468, 3, 10525, 10525, 11, 129, 39, {}}},
+    {{RingScenario::kBreakMidStream, 3, 3},
+     {90, 0, 3, 3, 0, 3, 469, 469, 3, 3805, 3805, 11, 127, 37, {}}},
+    {{RingScenario::kSilentDone, 2, 1},
+     {90, 0, 14, 16, 2, 3, 1354, 1354, 17, 2984, 2984, 5, 144, 54, {}}},
+    {{RingScenario::kSilentDone, 2, 3},
+     {89, 1, 14, 16, 2, 3, 1360, 1360, 17, 1077, 1077, 5, 141, 52, {83}}},
+    {{RingScenario::kSilentDone, 3, 1},
+     {90, 0, 7, 7, 0, 3, 1185, 1185, 7, 10525, 10525, 5, 131, 41, {}}},
+    {{RingScenario::kSilentDone, 3, 3},
+     {90, 0, 7, 7, 0, 3, 1203, 1203, 7, 3805, 3805, 5, 133, 43, {}}},
+    {{RingScenario::kUndersized, 2, 1},
+     {58, 102, 32, 1116, 1084, 1058, 146567, 146567, 1383, 10100, 10100, 3, 135,
+      77, {
+       10, 11, 14, 18, 20, 21, 23, 25, 26, 29, 32, 35, 38, 39, 40, 41, 44, 46,
+       47, 48, 49, 50, 51, 53, 56, 57, 59, 61, 62, 63, 65, 68, 71, 72, 73, 74,
+       76, 77, 78, 79, 80, 82, 83, 85, 86, 89, 90, 91, 92, 93, 95, 96, 98, 99,
+       100, 101, 103, 104, 105, 106, 107, 108, 109, 110, 111, 113, 114, 116,
+       117, 118, 119, 120, 121, 122, 123, 125, 128, 129, 130, 131, 132, 133,
+       134, 137, 139, 140, 141, 142, 143, 144, 145, 146, 148, 149, 151, 152,
+       153, 154, 155, 156, 157, 158}}},
+    {{RingScenario::kUndersized, 2, 3},
+     {55, 105, 32, 582, 550, 523, 69540, 69540, 933, 3088, 3088, 3, 137, 82, {
+       10, 11, 14, 18, 20, 21, 23, 25, 26, 29, 32, 33, 35, 38, 39, 40, 41, 42,
+       44, 46, 47, 48, 49, 50, 51, 53, 56, 57, 59, 61, 62, 63, 65, 68, 71, 72,
+       73, 74, 76, 77, 78, 79, 80, 82, 83, 85, 86, 89, 90, 91, 92, 95, 96, 98,
+       99, 100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113,
+       114, 116, 117, 118, 119, 121, 122, 123, 125, 128, 129, 130, 131, 132,
+       133, 134, 137, 139, 140, 141, 142, 143, 144, 145, 146, 148, 149, 150,
+       151, 152, 153, 154, 155, 156, 157, 158}}},
+    {{RingScenario::kUndersized, 3, 1},
+     {103, 57, 104, 5156, 5052, 5011, 1586556, 1586556, 8519, 102099, 102099, 3,
+      337, 234, {
+       2, 29, 31, 32, 35, 38, 41, 44, 47, 50, 53, 56, 59, 62, 65, 68, 71, 74,
+       77, 80, 83, 86, 89, 92, 94, 95, 98, 101, 102, 104, 105, 107, 109, 110,
+       113, 114, 116, 119, 121, 122, 124, 125, 127, 128, 129, 131, 132, 134,
+       137, 140, 143, 146, 149, 150, 152, 155, 158}}},
+    {{RingScenario::kUndersized, 3, 3},
+     {102, 58, 104, 1867, 1763, 1721, 563656, 563656, 3088, 34753, 34753, 3,
+      339, 237, {
+       2, 11, 31, 32, 35, 38, 41, 44, 47, 50, 53, 56, 59, 62, 65, 68, 71, 74,
+       77, 80, 83, 86, 89, 92, 94, 95, 96, 98, 101, 102, 104, 105, 107, 109,
+       110, 113, 114, 116, 119, 121, 122, 124, 125, 127, 128, 129, 131, 132,
+       134, 137, 140, 143, 146, 149, 150, 152, 155, 158}}},
+    {{RingScenario::kStreamSilent, 2, 1},
+     {90, 0, 14, 14, 0, 1, 1059, 1059, 18, 759, 759, 5, 140, 50, {}}},
+    {{RingScenario::kStreamSilent, 2, 3},
+     {90, 0, 14, 15, 1, 1, 1206, 1206, 18, 294, 294, 5, 142, 52, {}}},
+    {{RingScenario::kStreamSilent, 3, 1},
+     {90, 0, 7, 7, 0, 3, 1192, 1192, 8, 1411, 1411, 5, 133, 43, {}}},
+    {{RingScenario::kStreamSilent, 3, 3},
+     {89, 1, 7, 7, 0, 3, 1194, 1194, 8, 599, 599, 5, 132, 43, {53}}},
+};
+
+TEST(RingGolden, OutcomesMatchPinnedFullSweepRing) {
+  for (const RingGolden& g : kRingGolden) {
+    SCOPED_TRACE("scenario " + std::to_string(static_cast<int>(g.c.scenario)) +
+                 " dim " + std::to_string(g.c.dim) + " stride " +
+                 std::to_string(g.c.stride));
+    const RingOutcome got = run_ring_case(g.c);
+    EXPECT_TRUE(got == g.want) << "got " << as_initializer(got);
+    // Each scenario reaches the ring paths it is named for.
+    EXPECT_GE(got.monitor_initiations, 1u);
+    if (g.c.scenario == RingScenario::kUndersized) {
+      EXPECT_GT(got.comps_failed, 0u);
+      EXPECT_GT(got.failed, 0u);
+    }
+  }
+}
+
+// A core left to replay its clean sweeps must match one whose every
+// settle runs the full sweep, through state changes made between settles
+// by the core's direct callers: a vehicle killed outright, a longevity
+// armed mid-run, a silent-done, and cubes that serve_job materializes on
+// first contact. The reference forces full sweeps with a no-op injection
+// (silent-done on a home no job comes near), which clears the clean flag
+// and changes nothing else.
+TEST(CleanSweep, ReplayMatchesForcedFullSweeps) {
+  for (int dim : {2, 3}) {
+    for (std::int64_t stride : {1, 2}) {
+      SCOPED_TRACE("dim " + std::to_string(dim) + " stride " +
+                   std::to_string(stride));
+      const RingInputs in =
+          ring_inputs({RingScenario::kSilentDone, dim, stride});
+      CoreHarness replay(dim, in.config), full(dim, in.config);
+      Point unused = Point::origin(dim);
+      unused[0] = 1000;
+      // A primary no job targets on purpose: still active at arrival 20.
+      const Point quiet =
+          full.core.pairing().primaries_in_cube(Point::origin(dim))[2];
+      // Cube 0 first, the rest materialize while serving.
+      replay.core.ensure_cube_at(in.jobs[0].position);
+      full.core.ensure_cube_at(in.jobs[0].position);
+      std::int64_t since_settle = 0;
+      for (std::size_t i = 0; i < in.jobs.size(); ++i) {
+        for (FleetCore* core : {&replay.core, &full.core}) {
+          if (i == 20) core->inject_break_after(quiet, 0.0);
+          if (i == 40) core->inject_break_after(in.victims[1], 0.3);
+          if (i == 50) core->inject_silent_done(in.victims[2]);
+        }
+        const Job& job = in.jobs[i];
+        const bool ok = replay.core.serve_job(job);
+        replay.queue.run_to_quiescence();
+        ASSERT_EQ(full.core.serve_job(job), ok) << "job " << i;
+        full.queue.run_to_quiescence();
+        if (++since_settle < stride) continue;
+        since_settle = 0;
+        replay.core.settle();
+        full.core.inject_silent_done(unused);
+        full.core.settle();
+        ASSERT_TRUE(replay.network.stats() == full.network.stats())
+            << "job " << i;
+        ASSERT_TRUE(replay.core.metrics() == full.core.metrics())
+            << "job " << i;
+      }
+      EXPECT_GE(replay.core.metrics().monitor_initiations, 2u);
+    }
+  }
 }
 
 // --- capacity search / Theorem 1.4.2 ----------------------------------------

@@ -3,6 +3,8 @@
 #include <set>
 
 #include "util/check.h"
+#include "util/flat_map.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -139,6 +141,107 @@ TEST(Rng, ShuffleIsPermutation) {
   rng.shuffle(w);
   std::sort(w.begin(), w.end());
   EXPECT_EQ(v, w);
+}
+
+// Golden sequences, pinned from the out-of-line generator: next_below
+// must draw and return exactly these whether a bound takes the
+// power-of-two mask path (1, 2, 4, 2^40) or rejection sampling (6, and
+// 2^63 + 1, which rejects about half of all draws).
+TEST(Rng, NextU64GoldenSequence) {
+  const std::uint64_t want[16] = {
+      0xafcc5862d26d5474ull, 0xa779bd079c146fa1ull, 0x71fb0f3cae84e308ull,
+      0x5887ece1c19b48d1ull, 0x19bca5d5c0b1ded0ull, 0xd8ce36655da0cad9ull,
+      0xf0425bdd0b8233f2ull, 0x94dedf07d02d5f4full, 0x1d9513e36be4b5e0ull,
+      0xa7da72cfdec15392ull, 0xbaf73c4870d234c8ull, 0x2372e7f71211c1dcull,
+      0x7375118f36f28cd1ull, 0xf0e3be4effe1e803ull, 0xd5934d6e8f30a279ull,
+      0x734dbb9294f2ebddull};
+  Rng rng(20261018);
+  for (std::uint64_t w : want) EXPECT_EQ(rng.next_u64(), w);
+}
+
+TEST(Rng, NextBelowGoldenSequences) {
+  struct Golden {
+    std::uint64_t bound;
+    std::uint64_t want[16];
+  };
+  const Golden goldens[] = {
+      {1, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {2, {0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1}},
+      {4, {0, 1, 0, 1, 0, 1, 2, 3, 0, 2, 0, 0, 1, 3, 1, 1}},
+      {6, {4, 5, 2, 5, 4, 1, 2, 1, 0, 0, 2, 4, 5, 1, 1, 3}},
+      {1ull << 40,
+       {424437175412u, 32683356065u, 260625982216u, 969615821009u,
+        918060916432u, 435362515673u, 949380854770u, 33557405519u,
+        976767727072u, 892795442066u, 311130469576u, 1061160075740u,
+        615102188753u, 339300444163u, 474848731769u, 629564173277u}},
+      {(1ull << 63) + 1,
+       {3444224996492006515u, 2844512480042184608u, 6399111929530469080u,
+        8089128885649814513u, 1503884550238723918u, 2871733949523121041u,
+        4248931055275488455u, 8134554598470969346u, 6166357452044411512u,
+        1645153506440649599u, 5515226290128756999u, 8361449231928837680u,
+        3537474531933375377u, 4084523275802453143u, 211343922192026474u,
+        3921237124567899990u}},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.bound);
+    Rng rng(20261018);
+    for (std::uint64_t w : g.want) EXPECT_EQ(rng.next_below(g.bound), w);
+  }
+}
+
+// --- FlatMap -----------------------------------------------------------------
+
+TEST(FlatMap, PositionsAreInsertionOrdinalsStableAcrossRehash) {
+  FlatMap<std::uint64_t, std::uint64_t, U64Hash> map;
+  const std::uint64_t n = 10000;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t key = i * 0x9e3779b97f4a7c15ull;
+    const std::uint32_t pos = map.position_of(key);
+    ASSERT_EQ(pos, i);
+    map.at_position(pos) = i + 1;
+  }
+  ASSERT_EQ(map.size(), n);
+  // Every growth step rehashed the index; the positions did not move.
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t key = i * 0x9e3779b97f4a7c15ull;
+    ASSERT_EQ(map.position_of(key), i);
+    ASSERT_EQ(map.at_position(static_cast<std::uint32_t>(i)), i + 1);
+  }
+  EXPECT_EQ(map.size(), n);
+}
+
+// Three hash buckets for everything: long linear-probe runs.
+struct ModThreeHash {
+  std::size_t operator()(std::uint64_t k) const { return k % 3; }
+};
+
+TEST(FlatMap, LookupsAgreeAndIterationFollowsInsertion) {
+  FlatMap<std::uint64_t, int, ModThreeHash> map;
+  Rng rng(5);
+  std::vector<std::uint64_t> order;
+  for (int i = 0; i < 500; ++i) {
+    const std::uint64_t key = rng.next_below(300);
+    const bool fresh = map.find(key) == nullptr;
+    if (i % 2 == 0) {
+      map[key] += 1;
+    } else {
+      map.at_position(map.position_of(key)) += 1;
+    }
+    if (fresh) order.push_back(key);
+  }
+  ASSERT_EQ(map.size(), order.size());
+  std::size_t k = 0;
+  for (const auto& item : map) {
+    ASSERT_EQ(item.key, order[k]);
+    const std::uint32_t pos = map.position_of(item.key);
+    EXPECT_EQ(pos, k);
+    EXPECT_EQ(&map[item.key], map.find(item.key));
+    EXPECT_EQ(&map.at_position(pos), map.find(item.key));
+    EXPECT_EQ(map.at_position(pos), item.value);
+    ++k;
+  }
+  EXPECT_EQ(map.size(), order.size());  // lookups above inserted nothing
+  EXPECT_EQ(map.find(1000), nullptr);
 }
 
 TEST(RunningStats, MeanVarianceMinMax) {
