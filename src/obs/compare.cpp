@@ -1,5 +1,6 @@
 #include "obs/compare.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <map>
@@ -518,6 +519,35 @@ CompareReport compare_bench_runs(const Json& a, const Json& b,
     return nullptr;
   };
 
+  // A run made with --filter holds only the cases whose "section/case"
+  // name contains the filter. Cases either run's filter left out are not
+  // compared, so a filtered run diffs cleanly against a full baseline.
+  const auto filter_of = [](const Json& doc) -> std::string {
+    if (!doc.contains("options")) return "";
+    const Json& opts = doc.at("options");
+    return opts.is_object() && opts.contains("filter") &&
+                   opts.at("filter").is_string()
+               ? opts.at("filter").as_string()
+               : "";
+  };
+  const std::string filter_a = filter_of(a);
+  const std::string filter_b = filter_of(b);
+  const auto selected = [&](const std::string& sname,
+                            const std::string& cname) {
+    const std::string path = sname + "/" + cname;
+    return path.find(filter_a) != std::string::npos &&
+           path.find(filter_b) != std::string::npos;
+  };
+  const auto selected_cases = [&](const std::string& sname, const Json& sec) {
+    auto cases = by_name(sec.at("cases"));
+    cases.erase(std::remove_if(cases.begin(), cases.end(),
+                               [&](const auto& entry) {
+                                 return !selected(sname, entry.first);
+                               }),
+                cases.end());
+    return cases;
+  };
+
   const Json empty_sections = Json::array();
   const Json& sa = a.contains("sections") ? a.at("sections") : empty_sections;
   const Json& sb = b.contains("sections") ? b.at("sections") : empty_sections;
@@ -525,13 +555,14 @@ CompareReport compare_bench_runs(const Json& a, const Json& b,
   const auto sections_b = by_name(sb);
   for (const auto& [sname, sec_a] : sections_a) {
     const std::string spath = "sections[" + sname + "]";
+    const auto cases_a = selected_cases(sname, *sec_a);
     const Json* sec_b = find(sections_b, sname);
     if (sec_b == nullptr) {
-      c.compare_node(spath, "missing_section", &sec_a->at("name"), nullptr);
+      if (!cases_a.empty())
+        c.compare_node(spath, "missing_section", &sec_a->at("name"), nullptr);
       continue;
     }
-    const auto cases_a = by_name(sec_a->at("cases"));
-    const auto cases_b = by_name(sec_b->at("cases"));
+    const auto cases_b = selected_cases(sname, *sec_b);
     for (const auto& [cname, case_a] : cases_a) {
       const std::string cpath = spath + ".cases[" + cname + "]";
       const Json* case_b = find(cases_b, cname);
@@ -554,7 +585,8 @@ CompareReport compare_bench_runs(const Json& a, const Json& b,
                        &case_b->at("name"));
   }
   for (const auto& [sname, sec_b] : sections_b)
-    if (find(sections_a, sname) == nullptr)
+    if (find(sections_a, sname) == nullptr &&
+        !selected_cases(sname, *sec_b).empty())
       c.compare_node("sections[" + sname + "]", "extra_section", nullptr,
                      &sec_b->at("name"));
   return c.take();

@@ -514,12 +514,12 @@ void FleetCore::monitor_sweep() {
   // computation initiated on its behalf by that predecessor.
   if (sweep_clean_) {
     // Nothing this sweep reads changed since the last one, which acted on
-    // nothing: it would build the same rings, send the same heartbeats in
-    // the same order, and act on nothing again. Only the sends remain.
-    for (const Network::Channel ch : beacons_) network_.heartbeat_on(ch);
+    // nothing: it would build the same rings, send as many heartbeats, and
+    // act on nothing again. Only the count remains.
+    network_.count_heartbeats(beacons_);
     return;
   }
-  beacons_.clear();
+  beacons_ = 0;
   sweep_clean_ = true;  // until a state change below clears it
   for (const auto& corner : cubes_) {
     const auto& primaries = primaries_of(corner);
@@ -528,20 +528,22 @@ void FleetCore::monitor_sweep() {
     // slot, and any replacement a mid-sweep computation activates is
     // visible to later slots with no cache-invalidation bookkeeping.
     auto& active = state_of(corner).active_by_pair;
-    auto& ring = ring_scratch_;  // indices into `primaries`
-    ring.clear();
+    // The ring: the slots whose active vehicle is healthy.
+    std::uint64_t ring = 0;
     for (std::size_t i = 0; i < primaries.size(); ++i) {
       const std::size_t vid = active[i];
       if (vid == SIZE_MAX) continue;
       const Vehicle& v = vehicles_[vid];
-      if (!v.dead && v.s1 == WorkState::kActive) ring.push_back(i);
+      if (!v.dead && v.s1 == WorkState::kActive) ++ring;
     }
-    if (ring.empty()) continue;  // nobody left to monitor or initiate
+    if (ring == 0) continue;  // nobody left to monitor or initiate
     // Heartbeat round: each ring member beacons the previous ring member.
-    for (std::size_t k = 0; k < ring.size(); ++k) {
-      const auto from = active[ring[k]];
-      const auto to = active[ring[(k + ring.size() - 1) % ring.size()]];
-      if (from != to) beacons_.push_back(network_.heartbeat(from, to));
+    // Ring members are distinct vehicles (a vehicle is active in at most
+    // one slot), so a ring of k >= 2 sends k heartbeats and a lone member,
+    // its own predecessor, sends none.
+    if (ring > 1) {
+      network_.count_heartbeats(ring);
+      beacons_ += ring;
     }
     // Timeout detection: slots with no healthy active vehicle and no
     // replacement already in flight.
@@ -590,7 +592,13 @@ void FleetCore::monitor_sweep() {
           break;
         }
       }
-      if (monitor_vid == SIZE_MAX) continue;  // no healthy monitor left
+      if (monitor_vid == SIZE_MAX) {
+        // No healthy monitor left: every ring member is busy in a
+        // computation whose messages are still in flight. The slot stays
+        // unclaimed, and a later sweep must look at it again.
+        sweep_clean_ = false;
+        continue;
+      }
       pair_of_dest_[dest] = primary;
       replacement_pending_[primary] = true;
       ++metrics_.monitor_initiations;

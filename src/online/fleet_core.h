@@ -25,11 +25,13 @@
 // is rebuilt, O(s^ℓ), on the first lookup after a position in the cube
 // changed — about once per flood, since serves and moves only mark it
 // stale. Vehicles materialize lazily, so memory is O(touched cubes · s^ℓ).
-// A §3.2.5 settle costs O(ring) delay draws — one per heartbeat — when
-// nothing the ring reads has changed since the last sweep, which is the
+// A §3.2.5 settle is O(1) — it counts the last sweep's heartbeats again —
+// when nothing the ring reads has changed since that sweep, which is the
 // steady state between failures; the full O(slots) sweep (ring build,
 // timeout scan) runs only after a state change: a new cube, a failure
 // injection, a vehicle going done or dead, or any protocol message.
+// Heartbeats draw no message delay, so neither path touches the delay
+// stream of the real messages.
 #pragma once
 
 #include <cstddef>
@@ -82,7 +84,9 @@ struct OnlineConfig {
   // behavior); larger strides amortize the heartbeat ring across batched
   // arrivals — the §3.2.5 failure-detection latency grows to at most
   // `monitor_stride` arrivals, but the serving outcome of failure-free
-  // streams is unchanged (heartbeats are protocol no-ops). The cadence is
+  // streams is unchanged: heartbeats are protocol no-ops that draw no
+  // message delay, so only the heartbeat count depends on the stride
+  // (StreamMonitorStride in tests/stream_test.cpp holds this). The cadence is
   // a pure function of each cube's arrival subsequence, so the streaming
   // engine's bit-identical contract across thread counts AND batch sizes
   // survives any stride.
@@ -366,19 +370,20 @@ class FleetCore {
   std::unordered_map<Point, std::vector<Point>, PointHash> primaries_cache_;
   Point primaries_corner_;
   const std::vector<Point>* primaries_last_ = nullptr;
-  // Reused scratch buffers for the message hot path and monitor sweeps.
+  // Reused scratch buffer for the message hot path.
   std::vector<std::size_t> neighbor_scratch_;
-  std::vector<std::size_t> ring_scratch_;
   // Clean-sweep replay (monitor_sweep). sweep_clean_ is set only by a
-  // full sweep that changed nothing, and cleared by every change to what
-  // a sweep reads: the cube set, the active slots, a vehicle's dead/s1/s2,
-  // replacement_pending_, pair_of_dest_ and unrecoverable_. The sites:
-  // ensure_cube, the inject_* calls, after_serving's done/dead branch,
-  // on_message, initiate_computation and the sweep's own slot release.
-  // beacons_ holds the last full sweep's heartbeat channels in send order
-  // (cubes_ order, ring order within a cube), which a clean sweep replays.
+  // full sweep that changed nothing and left no slot unclaimed, and
+  // cleared by every change to what a sweep reads: the cube set, the
+  // active slots, a vehicle's dead/s1/s2, replacement_pending_,
+  // pair_of_dest_ and unrecoverable_. The sites: ensure_cube, the inject_*
+  // calls, after_serving's done/dead branch, on_message,
+  // initiate_computation, and the sweep's own slot release and
+  // no-healthy-monitor skip.
+  // beacons_ is the number of heartbeats the last full sweep sent, which a
+  // clean sweep counts again.
   bool sweep_clean_ = false;
-  std::vector<Network::Channel> beacons_;
+  std::uint64_t beacons_ = 0;
   std::vector<std::uint32_t> cell_scratch_;
 
   // Tier-A observability state (all obs-gated). Query counts are keyed

@@ -12,10 +12,11 @@
 //     order, so each bucket is already (time, seq)-sorted. A one-word
 //     occupancy mask finds the nearest non-empty bucket.
 //   * Far tier — a (time, seq) binary heap for events due later. Message
-//     delays are 1 + a few ticks, but the network's per-channel FIFO clamp
-//     keeps advancing on elided heartbeats while the cube clock stands
-//     still between arrivals, so a real message on such a channel can land
-//     far ahead of now(). Those are rare and take the O(log n) heap.
+//     delays are 1 + a few ticks, and heartbeats never touch a FIFO clamp,
+//     so ordinary protocol traffic lands inside the calendar. The heap
+//     serves what can still land beyond it: a max_message_delay of 64 or
+//     more, and a burst of sends on one channel whose FIFO clamp chains
+//     each delivery one tick past the last. Those take the O(log n) heap.
 // step() fires the earlier of the nearest bucket head and the heap top.
 #pragma once
 

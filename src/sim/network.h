@@ -24,7 +24,7 @@ struct NetworkStats {
   std::uint64_t replies = 0;
   std::uint64_t moves = 0;
   std::uint64_t heartbeats = 0;
-  // §3.2.5 heartbeats whose scheduler round-trip heartbeat() elided (the
+  // §3.2.5 heartbeats the network counted without delivering (the
   // receiving side is a protocol no-op). Every skip is also counted in
   // `heartbeats`; total() therefore excludes it.
   std::uint64_t heartbeat_skips = 0;
@@ -68,15 +68,24 @@ class Network {
   void set_spans(SpanRecorder* spans) { spans_ = spans; }
 
   // Sends m from -> to with a random delay in [1, 1 + max_delay], clamped
-  // so the channel stays FIFO. Heartbeats take heartbeat() below.
+  // so the channel stays FIFO. A heartbeat is only counted (see
+  // count_heartbeats).
   void send(std::size_t from, std::size_t to, Message m) {
     CMVRP_CHECK_MSG(receiver_, "network has no receiver bound");
     if (m.index() == 3) {
-      heartbeat(from, to);
+      count_heartbeats(1);
       return;
     }
     count(m);
-    const SimTime at = advance(last_delivery_[channel_key(from, to)]);
+    const SimTime delay =
+        1 + static_cast<SimTime>(
+                max_delay_ > 0
+                    ? rng_.next_below(static_cast<std::uint64_t>(max_delay_) + 1)
+                    : 0);
+    SimTime at = queue_.now() + delay;
+    SimTime& last = last_delivery_[channel_key(from, to)];
+    if (at <= last) at = last + 1;  // preserve per-channel ordering
+    last = at;
     if (spans_ != nullptr) {
       spans_->message(queue_.now(), /*send=*/true, static_cast<int>(m.index()),
                       span_comp(m), from, to, span_hop(m));
@@ -91,29 +100,15 @@ class Network {
     });
   }
 
-  // A stable handle on one (from, to) channel's FIFO state.
-  using Channel = std::uint32_t;
-
-  // Sends a §3.2.5 heartbeat ("existing" message) from -> to and returns
-  // the channel's handle. Heartbeats are protocol no-ops on the receiving
-  // side — monitoring reads fleet state directly, never the message — so
-  // the send counts it, draws its delay (keeping every generator sequence
-  // aligned) and advances the channel's FIFO clamp, but never enters the
-  // queue: at ~1 heartbeat per arrival the schedule/dispatch cycle of a
-  // do-nothing delivery was a top entry in the serving profile. Spans
-  // never see heartbeats.
-  Channel heartbeat(std::size_t from, std::size_t to) {
-    const Channel ch = last_delivery_.position_of(channel_key(from, to));
-    heartbeat_on(ch);
-    return ch;
-  }
-
-  // heartbeat() on a channel it returned, with no hash probe. Channels
-  // are never forgotten, so a handle stays valid for the network's life.
-  void heartbeat_on(Channel ch) {
-    ++stats_.heartbeats;
-    ++stats_.heartbeat_skips;
-    advance(last_delivery_.at_position(ch));
+  // Counts n §3.2.5 heartbeats ("existing" messages). Heartbeats are
+  // protocol no-ops on the receiving side — monitoring reads fleet state
+  // directly, never the message — so they draw no delay, advance no FIFO
+  // clamp and never enter the queue: the generator and the clamps see
+  // only Query/Reply/Move traffic, and how many heartbeats a run sends
+  // cannot shift when its real messages arrive. Spans never see them.
+  void count_heartbeats(std::uint64_t n) {
+    stats_.heartbeats += n;
+    stats_.heartbeat_skips += n;
   }
 
   const NetworkStats& stats() const { return stats_; }
@@ -121,7 +116,7 @@ class Network {
  private:
   // Span-layer scalars of a message: the owning computation's packed
   // InitTag and (for queries) the hop the message travels at. Heartbeats
-  // never reach these (send() hands them to heartbeat() first).
+  // never reach these (send() only counts them).
   static std::uint64_t span_comp(const Message& m) {
     switch (m.index()) {
       case 0:
@@ -150,21 +145,6 @@ class Network {
         ++stats_.moves;
         break;
     }
-  }
-
-  // Draws a message's delivery time on the channel whose latest delivery
-  // is `last`, and makes it the new latest: now + [1, 1 + max_delay],
-  // clamped past `last` so the channel stays FIFO.
-  SimTime advance(SimTime& last) {
-    SimTime at =
-        queue_.now() + 1 +
-        static_cast<SimTime>(
-            max_delay_ > 0
-                ? rng_.next_below(static_cast<std::uint64_t>(max_delay_) + 1)
-                : 0);
-    if (at <= last) at = last + 1;
-    last = at;
-    return at;
   }
 
   // Channel key packs (from, to) into one word. Vehicle ids are dense

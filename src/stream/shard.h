@@ -25,11 +25,12 @@
 // Monitoring cadence: CubeServer settles the §3.2.5 ring every
 // OnlineConfig::monitor_stride services *of its own cube* (plus a
 // catch-up settle in finish()). Sweeping exactly once per ingest batch
-// would be cheaper still, but would make heartbeat counts — and, because
-// heartbeat delays draw from the per-cube RNG, travel/energy splits —
-// depend on the batch size, breaking the bit-identical contract; a fixed
-// per-cube stride gives the same amortization with results that stay a
-// pure function of the cube's arrival subsequence.
+// would be cheaper still, but would make heartbeat counts depend on the
+// batch size, breaking the bit-identical contract (travel and energy
+// would not move: heartbeats draw no delay from the per-cube RNG, so the
+// settle cadence never shifts a real message — only the counts would); a
+// fixed per-cube stride gives the same amortization with results that
+// stay a pure function of the cube's arrival subsequence.
 //
 // Admission (OnlineConfig::admission): with a bounded policy, each cube
 // runs a FIFO backlog on the *global arrival-index clock* (§1.3's

@@ -60,14 +60,7 @@ class FlatMap {
   }
 
   // Find-or-default-insert, like std::map::operator[].
-  Value& operator[](const Key& key) { return items_[position_of(key)].value; }
-
-  // Find-or-default-insert, returning the item's position: its insertion
-  // ordinal, stable until clear() (there is no erase, and a rehash only
-  // rebuilds the index). at_position resolves it with no hash probe, so
-  // a caller that revisits the same keys can hold positions instead of
-  // re-hashing.
-  std::uint32_t position_of(const Key& key) {
+  Value& operator[](const Key& key) {
     if (index_.empty() ||
         items_.size() + 1 > (index_.size() * 7) / 10)
       rehash_for(items_.size() + 1);
@@ -77,16 +70,11 @@ class FlatMap {
       if (pos == kEmpty) {
         index_[slot] = static_cast<std::uint32_t>(items_.size());
         items_.push_back(Item{key, Value{}});
-        return index_[slot];
+        return items_.back().value;
       }
-      if (items_[pos].key == key) return pos;
+      if (items_[pos].key == key) return items_[pos].value;
       slot = (slot + 1) & (index_.size() - 1);
     }
-  }
-
-  Value& at_position(std::uint32_t pos) { return items_[pos].value; }
-  const Value& at_position(std::uint32_t pos) const {
-    return items_[pos].value;
   }
 
   // Insertion-order iteration over contiguous items. Keys are logically

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/compare.h"
 #include "util/check.h"
@@ -304,6 +306,76 @@ TEST(BenchCompare, MissingCaseIsDriftAndContextFieldsAreNot) {
   const CompareReport rep = compare_bench_runs(a, b, defaults());
   EXPECT_EQ(rep.exit_code(), 1);
   EXPECT_GE(rep.drift, 1u);
+}
+
+// A two-section run — threads/{threads=1, threads=2} and obs/{l=2} —
+// made with `filter`, holding only the cases the filter selects (every
+// section is still emitted, as the harness does).
+Json filtered_run(const std::string& filter, std::uint64_t obs_served) {
+  Json doc = bench_run(100.0, 10.0, 20000, 1000.0);
+  Json options = Json::object();
+  options.set("reps", 3);
+  options.set("filter", filter);
+  doc.set("options", options);
+  const auto section = [&](const std::string& name,
+                           const std::vector<Json>& cases) {
+    Json sec = Json::object();
+    sec.set("name", name);
+    Json arr = Json::array();
+    for (const Json& c : cases)
+      if ((name + "/" + c.at("name").as_string()).find(filter) !=
+          std::string::npos)
+        arr.push_back(c);
+    sec.set("cases", arr);
+    return sec;
+  };
+  Json sections = Json::array();
+  sections.push_back(
+      section("threads", {bench_case("threads=1", 100.0, 10.0, 20000, 1e3),
+                          bench_case("threads=2", 90.0, 10.0, 20000, 1e3)}));
+  sections.push_back(
+      section("obs", {bench_case("l=2", 50.0, 5.0, obs_served, 1e3)}));
+  doc.set("sections", sections);
+  return doc;
+}
+
+TEST(BenchCompare, FilteredRunComparesOnlySelectedCases) {
+  const Json full = filtered_run("", 20000);
+  const Json obs_only = filtered_run("obs/", 20000);
+  ASSERT_EQ(obs_only.at("sections").at(0).at("cases").size(), 0u);
+  for (const auto& [a, b] : {std::pair<const Json*, const Json*>{&full,
+                                                                 &obs_only},
+                             {&obs_only, &full}}) {
+    const CompareReport rep = compare_bench_runs(*a, *b, defaults());
+    EXPECT_EQ(rep.exit_code(), 0);
+    EXPECT_EQ(rep.drift, 0u);
+    EXPECT_GT(rep.deterministic_fields, 0u);  // the obs case was compared
+  }
+  // A filter that drops a whole section from the document skips it too.
+  Json no_threads = obs_only;
+  Json sections = Json::array();
+  sections.push_back(obs_only.at("sections").at(1));
+  no_threads.set("sections", sections);
+  EXPECT_EQ(compare_bench_runs(full, no_threads, defaults()).exit_code(), 0);
+}
+
+TEST(BenchCompare, FilteredRunStillFailsOnSelectedDrift) {
+  const Json full = filtered_run("", 20000);
+  const CompareReport rep =
+      compare_bench_runs(full, filtered_run("obs/", 19999), defaults());
+  EXPECT_EQ(rep.exit_code(), 1);
+  EXPECT_EQ(rep.drift, 1u);
+  std::vector<std::string> failed;
+  for (const FieldDiff& d : rep.diffs)
+    if (d.verdict == FieldVerdict::kFail) failed.push_back(d.path);
+  EXPECT_EQ(failed, std::vector<std::string>{
+                        "sections[obs].cases[l=2].metrics.served"});
+  // A selected case the filtered run lacks is still missing.
+  Json missing = filtered_run("obs/", 20000);
+  Json sections = Json::array();
+  sections.push_back(missing.at("sections").at(0));
+  missing.set("sections", sections);
+  EXPECT_EQ(compare_bench_runs(full, missing, defaults()).exit_code(), 1);
 }
 
 TEST(BenchCompare, SuiteMismatchAborts) {

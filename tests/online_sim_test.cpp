@@ -197,11 +197,13 @@ TEST(Network, CountsByKind) {
   EXPECT_EQ(net.stats().total(), 4u);
 }
 
-// Heartbeats sent as ExistingMsg through send() and through channel
-// handles must leave the network in the same state: same delay draws,
-// same FIFO clamps, same counts. Real queries interleave on the same
-// channels, so any drift in a clamp or a draw reorders their deliveries.
-TEST(Network, HeartbeatHandlesMatchExistingMsgSends) {
+// Heartbeats are counted, never drawn or clamped: a network that also
+// sends heartbeats — as ExistingMsg through send() and in bulk through
+// count_heartbeats() — must deliver every query at the same time and in
+// the same order as one that never sends any. Queries share channels with
+// the heartbeats and clock steps interleave, so a heartbeat that drew a
+// delay or advanced a FIFO clamp would shift a delivery.
+TEST(Network, HeartbeatsLeaveQueryDeliveriesUnchanged) {
   struct Delivery {
     SimTime at;
     std::size_t from, to;
@@ -223,45 +225,41 @@ TEST(Network, HeartbeatHandlesMatchExistingMsgSends) {
       b.set_receiver([&](std::size_t to, std::size_t from, const Message& m) {
         got_b.push_back({qb.now(), from, to, std::get<QueryMsg>(m).init.seq});
       });
-      std::vector<std::vector<Network::Channel>> handle(
-          5, std::vector<Network::Channel>(5, UINT32_MAX));
+      std::uint64_t sent = 0;
       Rng script(100 + seed);
       for (std::uint64_t op = 0; op < 3000; ++op) {
         const auto from = static_cast<std::size_t>(script.next_below(5));
         const auto to = static_cast<std::size_t>(script.next_below(5));
         const std::uint64_t kind = script.next_below(8);
-        if (kind < 5) {
-          a.send(from, to, ExistingMsg{});
-          Network::Channel& h = handle[from][to];
-          if (h == UINT32_MAX || kind == 0) {
-            const Network::Channel got = b.heartbeat(from, to);
-            if (h != UINT32_MAX) {
-              ASSERT_EQ(got, h);  // handles are stable
-            }
-            h = got;
-          } else {
-            b.heartbeat_on(h);
-          }
+        if (kind < 4) {
+          a.send(from, to, ExistingMsg{});  // b sends no heartbeat
+          ++sent;
+        } else if (kind == 4) {
+          const std::uint64_t n = script.next_below(40);
+          a.count_heartbeats(n);
+          sent += n;
         } else if (kind < 7) {
           const QueryMsg q{InitTag{from, op}, 1};
           a.send(from, to, q);
           b.send(from, to, q);
         } else {
-          // Let time pass: clamps set by heartbeats outlive the clock.
           for (std::uint64_t k = script.next_below(4); k > 0; --k) {
             qa.step();
             qb.step();
           }
         }
         ASSERT_EQ(qa.now(), qb.now());
+        ASSERT_EQ(qa.pending(), qb.pending());
       }
       qa.run_to_quiescence();
       qb.run_to_quiescence();
       EXPECT_GT(got_a.size(), 500u);
       EXPECT_TRUE(got_a == got_b);
-      EXPECT_TRUE(a.stats() == b.stats());
-      EXPECT_GT(b.stats().heartbeats, 1500u);
-      EXPECT_EQ(b.stats().heartbeat_skips, b.stats().heartbeats);
+      EXPECT_EQ(b.stats().heartbeats, 0u);
+      EXPECT_GT(sent, 1500u);
+      EXPECT_EQ(a.stats().heartbeats - b.stats().heartbeats, sent);
+      EXPECT_EQ(a.stats().heartbeat_skips, a.stats().heartbeats);
+      EXPECT_EQ(a.stats().queries, b.stats().queries);
     }
   }
 }
@@ -636,10 +634,14 @@ TEST(NeighborIndex, MoveOutsideOwnCubeIsRejected) {
 // The monitoring ring's outcomes under failures, pinned: every
 // OnlineMetrics field (network counts included) and the failed-job list
 // of small runs that break, silence or starve vehicles. Served jobs are
-// the complement of the failed ones. The constants were captured from the
-// full-sweep ring, which rebuilt the ring and rescanned every slot on each
-// settle; a settle that replays its cached heartbeats after a state change
-// it missed would drift from them.
+// the complement of the failed ones. The constants were captured with
+// heartbeats counted, not drawn, and match a build whose every settle runs
+// the full sweep (ring build, timeout scan); a settle that replays its
+// cached heartbeat count after a state change it missed would drift from
+// them. Because heartbeats leave the delay stream alone, the stride-1 and
+// stride-3 pins of a scenario differ only where the ring's detection
+// cadence acts: in heartbeat counts, and in the starved or silenced slots
+// a longer stride notices later.
 
 enum class RingScenario {
   kBreakAtStart,    // longevity 0: dead before the first arrival
@@ -824,70 +826,70 @@ struct RingGolden {
 
 const RingGolden kRingGolden[] = {
     {{RingScenario::kBreakAtStart, 2, 1},
-     {90, 0, 10, 10, 0, 3, 753, 753, 10, 2909, 2909, 7, 131, 41, {}}},
+     {90, 0, 12, 12, 0, 3, 1049, 1049, 16, 2909, 2909, 8, 145, 55, {}}},
     {{RingScenario::kBreakAtStart, 2, 3},
-     {90, 0, 10, 10, 0, 3, 751, 751, 10, 989, 989, 7, 131, 41, {}}},
+     {90, 0, 12, 12, 0, 3, 1049, 1049, 16, 989, 989, 8, 145, 55, {}}},
     {{RingScenario::kBreakAtStart, 3, 1},
-     {90, 0, 7, 7, 0, 3, 1210, 1210, 7, 10189, 10189, 7, 129, 39, {}}},
+     {90, 0, 8, 8, 0, 3, 1390, 1390, 10, 10189, 10189, 7, 134, 44, {}}},
     {{RingScenario::kBreakAtStart, 3, 3},
-     {90, 0, 7, 7, 0, 3, 1210, 1210, 7, 3469, 3469, 7, 129, 39, {}}},
+     {90, 0, 8, 8, 0, 3, 1390, 1390, 10, 3469, 3469, 7, 134, 44, {}}},
     {{RingScenario::kBreakMidStream, 2, 1},
-     {90, 0, 3, 3, 0, 3, 179, 179, 3, 3005, 3005, 15, 126, 36, {}}},
+     {90, 0, 3, 3, 0, 3, 181, 181, 3, 3005, 3005, 13, 128, 38, {}}},
     {{RingScenario::kBreakMidStream, 2, 3},
-     {90, 0, 3, 3, 0, 3, 178, 178, 3, 1085, 1085, 13, 128, 38, {}}},
+     {90, 0, 3, 3, 0, 3, 181, 181, 3, 1085, 1085, 13, 128, 38, {}}},
     {{RingScenario::kBreakMidStream, 3, 1},
      {90, 0, 3, 3, 0, 3, 468, 468, 3, 10525, 10525, 11, 129, 39, {}}},
     {{RingScenario::kBreakMidStream, 3, 3},
-     {90, 0, 3, 3, 0, 3, 469, 469, 3, 3805, 3805, 11, 127, 37, {}}},
+     {90, 0, 3, 3, 0, 3, 468, 468, 3, 3805, 3805, 11, 129, 39, {}}},
     {{RingScenario::kSilentDone, 2, 1},
-     {90, 0, 14, 16, 2, 3, 1354, 1354, 17, 2984, 2984, 5, 144, 54, {}}},
+     {89, 1, 15, 18, 3, 3, 1626, 1626, 22, 2968, 2968, 5, 148, 59, {83}}},
     {{RingScenario::kSilentDone, 2, 3},
-     {89, 1, 14, 16, 2, 3, 1360, 1360, 17, 1077, 1077, 5, 141, 52, {83}}},
+     {89, 1, 15, 18, 3, 3, 1626, 1626, 22, 1071, 1071, 5, 148, 59, {83}}},
     {{RingScenario::kSilentDone, 3, 1},
-     {90, 0, 7, 7, 0, 3, 1185, 1185, 7, 10525, 10525, 5, 131, 41, {}}},
+     {90, 0, 7, 7, 0, 3, 1195, 1195, 8, 10525, 10525, 5, 135, 45, {}}},
     {{RingScenario::kSilentDone, 3, 3},
-     {90, 0, 7, 7, 0, 3, 1203, 1203, 7, 3805, 3805, 5, 133, 43, {}}},
+     {90, 0, 7, 7, 0, 3, 1195, 1195, 8, 3805, 3805, 5, 135, 45, {}}},
     {{RingScenario::kUndersized, 2, 1},
-     {58, 102, 32, 1116, 1084, 1058, 146567, 146567, 1383, 10100, 10100, 3, 135,
-      77, {
-       10, 11, 14, 18, 20, 21, 23, 25, 26, 29, 32, 35, 38, 39, 40, 41, 44, 46,
-       47, 48, 49, 50, 51, 53, 56, 57, 59, 61, 62, 63, 65, 68, 71, 72, 73, 74,
-       76, 77, 78, 79, 80, 82, 83, 85, 86, 89, 90, 91, 92, 93, 95, 96, 98, 99,
-       100, 101, 103, 104, 105, 106, 107, 108, 109, 110, 111, 113, 114, 116,
-       117, 118, 119, 120, 121, 122, 123, 125, 128, 129, 130, 131, 132, 133,
-       134, 137, 139, 140, 141, 142, 143, 144, 145, 146, 148, 149, 151, 152,
-       153, 154, 155, 156, 157, 158}}},
-    {{RingScenario::kUndersized, 2, 3},
-     {55, 105, 32, 582, 550, 523, 69540, 69540, 933, 3088, 3088, 3, 137, 82, {
-       10, 11, 14, 18, 20, 21, 23, 25, 26, 29, 32, 33, 35, 38, 39, 40, 41, 42,
-       44, 46, 47, 48, 49, 50, 51, 53, 56, 57, 59, 61, 62, 63, 65, 68, 71, 72,
-       73, 74, 76, 77, 78, 79, 80, 82, 83, 85, 86, 89, 90, 91, 92, 95, 96, 98,
-       99, 100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113,
+     {55, 105, 32, 1012, 980, 953, 137728, 137728, 1300, 9969, 9969, 3, 137,
+      82, {
+       3, 10, 11, 14, 18, 20, 21, 23, 25, 26, 29, 32, 33, 35, 38, 39, 40, 41,
+       42, 44, 46, 47, 48, 49, 50, 51, 53, 56, 57, 59, 61, 62, 63, 65, 68, 71,
+       72, 73, 74, 76, 77, 78, 79, 80, 82, 83, 85, 86, 89, 90, 91, 92, 95, 96,
+       98, 99, 100, 101, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113,
        114, 116, 117, 118, 119, 121, 122, 123, 125, 128, 129, 130, 131, 132,
        133, 134, 137, 139, 140, 141, 142, 143, 144, 145, 146, 148, 149, 150,
        151, 152, 153, 154, 155, 156, 157, 158}}},
+    {{RingScenario::kUndersized, 2, 3},
+     {54, 106, 32, 413, 381, 354, 53242, 53242, 507, 3119, 3119, 3, 139, 85, {
+       2, 10, 11, 14, 18, 20, 21, 23, 25, 26, 29, 32, 33, 35, 38, 39, 40, 41,
+       42, 44, 46, 47, 48, 49, 50, 51, 53, 56, 57, 59, 61, 62, 63, 65, 68, 71,
+       72, 73, 74, 76, 77, 78, 79, 80, 82, 83, 85, 86, 89, 90, 91, 92, 95, 96,
+       98, 99, 100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112,
+       113, 114, 116, 117, 118, 119, 121, 122, 123, 125, 128, 129, 130, 131,
+       132, 133, 134, 137, 139, 140, 141, 142, 143, 144, 145, 146, 148, 149,
+       150, 151, 152, 153, 154, 155, 156, 157, 158}}},
     {{RingScenario::kUndersized, 3, 1},
-     {103, 57, 104, 5156, 5052, 5011, 1586556, 1586556, 8519, 102099, 102099, 3,
-      337, 234, {
+     {99, 61, 104, 3356, 3252, 3214, 1021300, 1021300, 6833, 91747, 91747, 3,
+      333, 234, {
+       20, 23, 29, 31, 32, 35, 38, 41, 44, 47, 50, 53, 56, 59, 62, 65, 68, 71,
+       74, 77, 80, 83, 86, 89, 92, 94, 95, 96, 98, 101, 102, 103, 104, 105, 107,
+       109, 110, 113, 114, 116, 119, 121, 122, 124, 125, 127, 128, 129, 131,
+       132, 134, 137, 140, 143, 146, 149, 150, 152, 154, 155, 158}}},
+    {{RingScenario::kUndersized, 3, 3},
+     {103, 57, 102, 1802, 1700, 1664, 590796, 590796, 3155, 37032, 37032, 3,
+      326, 223, {
        2, 29, 31, 32, 35, 38, 41, 44, 47, 50, 53, 56, 59, 62, 65, 68, 71, 74,
-       77, 80, 83, 86, 89, 92, 94, 95, 98, 101, 102, 104, 105, 107, 109, 110,
+       77, 80, 83, 86, 89, 92, 95, 96, 98, 101, 102, 104, 105, 107, 109, 110,
        113, 114, 116, 119, 121, 122, 124, 125, 127, 128, 129, 131, 132, 134,
        137, 140, 143, 146, 149, 150, 152, 155, 158}}},
-    {{RingScenario::kUndersized, 3, 3},
-     {102, 58, 104, 1867, 1763, 1721, 563656, 563656, 3088, 34753, 34753, 3,
-      339, 237, {
-       2, 11, 31, 32, 35, 38, 41, 44, 47, 50, 53, 56, 59, 62, 65, 68, 71, 74,
-       77, 80, 83, 86, 89, 92, 94, 95, 96, 98, 101, 102, 104, 105, 107, 109,
-       110, 113, 114, 116, 119, 121, 122, 124, 125, 127, 128, 129, 131, 132,
-       134, 137, 140, 143, 146, 149, 150, 152, 155, 158}}},
     {{RingScenario::kStreamSilent, 2, 1},
-     {90, 0, 14, 14, 0, 1, 1059, 1059, 18, 759, 759, 5, 140, 50, {}}},
+     {89, 1, 15, 16, 1, 1, 1298, 1298, 21, 755, 755, 5, 142, 53, {83}}},
     {{RingScenario::kStreamSilent, 2, 3},
-     {90, 0, 14, 15, 1, 1, 1206, 1206, 18, 294, 294, 5, 142, 52, {}}},
+     {89, 1, 15, 16, 1, 1, 1298, 1298, 21, 293, 293, 5, 142, 53, {83}}},
     {{RingScenario::kStreamSilent, 3, 1},
-     {90, 0, 7, 7, 0, 3, 1192, 1192, 8, 1411, 1411, 5, 133, 43, {}}},
+     {90, 0, 7, 7, 0, 3, 1197, 1197, 7, 1411, 1411, 5, 131, 41, {}}},
     {{RingScenario::kStreamSilent, 3, 3},
-     {89, 1, 7, 7, 0, 3, 1194, 1194, 8, 599, 599, 5, 132, 43, {53}}},
+     {89, 1, 7, 7, 0, 3, 1197, 1197, 7, 599, 599, 5, 130, 41, {53}}},
 };
 
 TEST(RingGolden, OutcomesMatchPinnedFullSweepRing) {
@@ -954,6 +956,64 @@ TEST(CleanSweep, ReplayMatchesForcedFullSweeps) {
       EXPECT_GE(replay.core.metrics().monitor_initiations, 2u);
     }
   }
+}
+
+// A sweep that finds a slot to replace but no ring member free to
+// initiate for it (every healthy active vehicle is still searching in a
+// computation whose messages are in flight) must leave the slot alone —
+// not pending, not counted — and must not mark itself clean: once the
+// flood drains, the next settle initiates the replacement. Only a direct
+// caller that sweeps mid-flood reaches this; OnlineSimulation and the
+// stream engine drain first.
+TEST(CleanSweep, NoHealthyMonitorDefersTheReplacement) {
+  OnlineConfig cfg = small_config(8.0);  // 7 jobs in place exhaust one
+  cfg.neighbor_radius = 6;               // every cube member hears a flood
+  cfg.max_message_delay = 0;             // every query lands one tick later
+  CoreHarness h(2, cfg);
+  const auto& primaries = h.core.pairing().primaries_in_cube(Point{0, 0});
+  ASSERT_EQ(primaries.size(), 8u);
+  const Point victim = primaries[0];
+  h.core.inject_break_after(victim, 0.0);  // dead before it ever serves
+  h.core.ensure_cube_at(victim);
+  ASSERT_FALSE(h.core.active_of_pair(victim).has_value());
+
+  // Slot 1's active vehicle serves in place until it exhausts, and floods
+  // its 15 cube mates. Deliver exactly those queries: the six healthy
+  // active vehicles (slots 2-7) turn searching and relay, and nothing else
+  // lands.
+  const std::size_t initiator = *h.core.active_of_pair(primaries[1]);
+  for (std::int64_t j = 0; j < 7; ++j) {
+    ASSERT_EQ(h.core.metrics().computations_started, 0u);
+    ASSERT_TRUE(h.core.serve_job(Job{primaries[1], j}));
+  }
+  ASSERT_EQ(h.core.metrics().computations_started, 1u);
+  for (int i = 0; i < 15; ++i) ASSERT_TRUE(h.queue.step());
+  ASSERT_FALSE(h.queue.empty());
+  for (std::size_t slot = 2; slot < primaries.size(); ++slot) {
+    const Vehicle& v = *h.core.vehicle_at_home(primaries[slot]);
+    ASSERT_EQ(v.s1, WorkState::kActive);
+    ASSERT_EQ(v.s2, TransferState::kSearching);
+  }
+
+  const std::uint64_t heartbeats = h.network.stats().heartbeats;
+  h.core.monitor_sweep();
+  EXPECT_EQ(h.core.metrics().monitor_initiations, 0u);
+  EXPECT_EQ(h.core.metrics().computations_started, 1u);
+  EXPECT_EQ(h.network.stats().heartbeats, heartbeats + 6);  // ring of six
+  EXPECT_FALSE(h.core.active_of_pair(victim).has_value());
+
+  // The flood drains and hands slot 1 an idle vehicle; the victim slot is
+  // still empty, and the next settle initiates for it.
+  h.queue.run_to_quiescence();
+  ASSERT_EQ(h.core.metrics().replacements, 1u);
+  ASSERT_NE(h.core.active_of_pair(primaries[1]), initiator);
+  EXPECT_FALSE(h.core.active_of_pair(victim).has_value());
+  h.core.settle();
+  EXPECT_EQ(h.core.metrics().monitor_initiations, 1u);
+  EXPECT_EQ(h.core.metrics().replacements, 2u);
+  ASSERT_TRUE(h.core.active_of_pair(victim).has_value());
+  EXPECT_NE(*h.core.active_of_pair(victim),
+            h.core.vehicle_at_home(victim)->id);
 }
 
 // --- capacity search / Theorem 1.4.2 ----------------------------------------

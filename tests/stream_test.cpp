@@ -5,8 +5,11 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "exp/scenario.h"
 #include "online/capacity_search.h"
 #include "online/pairing.h"
 #include "online/simulation.h"
@@ -146,6 +149,48 @@ TEST(StreamEngine, TheoryCapacityServesEverything) {
   const StreamResult r = serve_stream(2, cfg, jobs);
   EXPECT_EQ(r.metrics.jobs_failed, 0u);
   EXPECT_EQ(r.served_jobs.size(), jobs.size());
+}
+
+// Failure-free outcomes do not depend on the monitoring stride: a
+// heartbeat is only counted, so a settle at any cadence leaves the delay
+// draws of the real messages — and with them every flood, move and energy
+// figure — where they were. Only the heartbeat count may move. The
+// workload is stream_scaling's (side 4, W 24, seed 7), whose undersized
+// capacity forces replacements.
+TEST(StreamMonitorStride, FailureFreeOutcomeIsStrideInvariant) {
+  const auto jobs =
+      ScenarioRegistry::builtin().at("uniform/64x64/n20000").jobs();
+  for (const auto& [threads, batch] :
+       {std::pair<int, std::int64_t>{1, 256}, {4, 32}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads) + " batch " +
+                 std::to_string(batch));
+    StreamConfig cfg = test_config(24.0, threads, batch);
+    cfg.online.monitor_stride = 1;
+    const StreamResult ref = serve_stream(2, cfg, jobs);
+    ASSERT_EQ(ref.metrics.jobs_failed, 0u);
+    ASSERT_EQ(ref.metrics.monitor_initiations, 0u);
+    ASSERT_GT(ref.metrics.replacements, 100u);
+    OnlineMetrics want = ref.metrics;
+    want.network.heartbeats = want.network.heartbeat_skips = 0;
+    std::uint64_t heartbeats = ref.metrics.network.heartbeats;
+    for (const std::int64_t stride : {3, 16}) {
+      SCOPED_TRACE("stride " + std::to_string(stride));
+      cfg.online.monitor_stride = stride;
+      const StreamResult r = serve_stream(2, cfg, jobs);
+      EXPECT_EQ(r.served_jobs, ref.served_jobs);
+      EXPECT_EQ(r.failed_jobs, ref.failed_jobs);
+      OnlineMetrics got = r.metrics;
+      got.network.heartbeats = got.network.heartbeat_skips = 0;
+      EXPECT_TRUE(got == want);
+      EXPECT_EQ(r.metrics.network.queries, ref.metrics.network.queries);
+      EXPECT_EQ(r.metrics.network.moves, ref.metrics.network.moves);
+      EXPECT_EQ(r.metrics.max_energy_spent, ref.metrics.max_energy_spent);
+      EXPECT_EQ(r.metrics.total_energy_spent, ref.metrics.total_energy_spent);
+      // Fewer settles, fewer heartbeats.
+      EXPECT_LT(r.metrics.network.heartbeats, heartbeats);
+      heartbeats = r.metrics.network.heartbeats;
+    }
+  }
 }
 
 // --- substrate: per-cube seeds and the worker pool --------------------------

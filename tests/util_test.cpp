@@ -191,21 +191,18 @@ TEST(Rng, NextBelowGoldenSequences) {
 
 // --- FlatMap -----------------------------------------------------------------
 
-TEST(FlatMap, PositionsAreInsertionOrdinalsStableAcrossRehash) {
+TEST(FlatMap, ValuesAndInsertionOrderSurviveRehash) {
   FlatMap<std::uint64_t, std::uint64_t, U64Hash> map;
   const std::uint64_t n = 10000;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t key = i * 0x9e3779b97f4a7c15ull;
-    const std::uint32_t pos = map.position_of(key);
-    ASSERT_EQ(pos, i);
-    map.at_position(pos) = i + 1;
-  }
+  for (std::uint64_t i = 0; i < n; ++i)
+    map[i * 0x9e3779b97f4a7c15ull] = i + 1;
   ASSERT_EQ(map.size(), n);
-  // Every growth step rehashed the index; the positions did not move.
+  // Every growth step rehashed the index; the items did not move.
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::uint64_t key = i * 0x9e3779b97f4a7c15ull;
-    ASSERT_EQ(map.position_of(key), i);
-    ASSERT_EQ(map.at_position(static_cast<std::uint32_t>(i)), i + 1);
+    ASSERT_EQ(map.items()[i].key, key);
+    ASSERT_NE(map.find(key), nullptr);
+    ASSERT_EQ(*map.find(key), i + 1);
   }
   EXPECT_EQ(map.size(), n);
 }
@@ -222,10 +219,10 @@ TEST(FlatMap, LookupsAgreeAndIterationFollowsInsertion) {
   for (int i = 0; i < 500; ++i) {
     const std::uint64_t key = rng.next_below(300);
     const bool fresh = map.find(key) == nullptr;
-    if (i % 2 == 0) {
+    if (i % 2 == 0 || fresh) {
       map[key] += 1;
     } else {
-      map.at_position(map.position_of(key)) += 1;
+      *map.find(key) += 1;
     }
     if (fresh) order.push_back(key);
   }
@@ -233,11 +230,9 @@ TEST(FlatMap, LookupsAgreeAndIterationFollowsInsertion) {
   std::size_t k = 0;
   for (const auto& item : map) {
     ASSERT_EQ(item.key, order[k]);
-    const std::uint32_t pos = map.position_of(item.key);
-    EXPECT_EQ(pos, k);
     EXPECT_EQ(&map[item.key], map.find(item.key));
-    EXPECT_EQ(&map.at_position(pos), map.find(item.key));
-    EXPECT_EQ(map.at_position(pos), item.value);
+    EXPECT_EQ(&map.items()[k].value, map.find(item.key));
+    EXPECT_EQ(*map.find(item.key), item.value);
     ++k;
   }
   EXPECT_EQ(map.size(), order.size());  // lookups above inserted nothing
