@@ -737,20 +737,21 @@ void suite_substrates(BenchRun& b) {
            row);
   });
   b.run_case("network_delivery/n=1000", [&](MetricRow& row) {
+    struct Count final : Network::Receiver {
+      std::size_t delivered = 0;
+      void on_delivery(const Delivery&) override { ++delivered; }
+    };
     looped(20,
            [] {
              EventQueue q;
              Network net(q, Rng(1), 3);
-             std::size_t delivered = 0;
-             net.set_receiver(
-                 [&delivered](std::size_t, std::size_t, const Message&) {
-                   ++delivered;
-                 });
+             Count count;
+             net.set_receiver(&count);
              for (int i = 0; i < 1000; ++i)
                net.send(static_cast<std::size_t>(i % 7), (i + 1) % 7,
                         QueryMsg{});
-             q.run_to_quiescence();
-             return static_cast<double>(delivered);
+             net.run_to_quiescence();
+             return static_cast<double>(count.delivered);
            },
            row);
   });
@@ -1208,9 +1209,11 @@ void suite_stream_scaling(BenchRun& b) {
   });
 
   b.note("Stream scaling: 20000 jobs over 256 cubes (side 4). Outcomes "
-         "are bit-identical across every thread count and batch size; "
-         "speedup tracks physical cores (the 'hw threads' column says what "
-         "this machine can show). The dims section extends both claims to "
+         "are bit-identical across every thread count and batch size, "
+         "which is what the threads section checks: at ~10 ms a run it is "
+         "too small to time multicore scaling, so its speedup column is "
+         "not a scaling claim (ROADMAP item 5 owns that, with a longer "
+         "case). The dims section extends both claims to "
          "l = 3 and l = 4 streams. The obs section checks the Lemma 3.3.1 "
          "query-flood bound at l = 2/3/4 and records messages-per-"
          "replacement; obs_overhead records the counters-off fast path "

@@ -92,7 +92,7 @@ void stage_fields(std::string* line, const StageTimes& s) {
   field_ms(line, "stage_route_ms", s.route_ms);
   field_ms(line, "stage_serve_ms", s.serve_ms);
   field_ms(line, "stage_fold_ms", s.fold_ms);
-  field_ms(line, "stage_monitor_ms", s.monitor_ms);
+  field_ms(line, "stage_finish_ms", s.finish_ms);
   field_i64(line, "wall_rss_kb", current_rss_kb());
 }
 

@@ -58,7 +58,7 @@ inline constexpr int kSpanKindCount = 8;
 const char* span_kind_name(SpanKind kind);
 
 // Message-kind index carried in `aux` of kSend/kDeliver records; matches
-// Message::index() in sim/message.h (0 query, 1 reply, 2 move).
+// MsgKind in sim/message.h (0 query, 1 reply, 2 move).
 const char* span_message_kind_name(std::uint8_t aux);
 
 // One fixed-width span record. Every field is deterministic: `clock` is
@@ -136,7 +136,7 @@ class SpanRecorder {
                    std::int64_t arrival_index);
   void serve_end(std::int64_t clock, std::int64_t arrival_index, bool served);
   // One network message: `send` distinguishes the send hook from the
-  // delivery hook, `msg_kind` is Message::index() (heartbeats are never
+  // delivery hook, `msg_kind` is the MsgKind value (heartbeats are never
   // passed here), `hop` the query hop the message travels at (0 for
   // replies/moves). Sends draw a per-cube flow ordinal stored in `data`;
   // the matching delivery pops the same ordinal off the channel's FIFO —

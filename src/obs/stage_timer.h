@@ -19,21 +19,21 @@ namespace cmvrp {
 //   route   — the corner/slot routing pass (serial or parallel scatter),
 //   serve   — the worker-pool serve barrier (protocol work on shards),
 //   fold    — sorting per-shard outcomes into the observer's batch,
-//   monitor — finish()-time backlog drain, catch-up settles, and the
-//             per-cube metric fold.
+//   finish  — StreamEngine::finish(): the backlog drain, the per-cube
+//             metric fold and the served/failed/shed index-set sorts.
 struct StageTimes {
   double ingest_ms = 0.0;
   double route_ms = 0.0;
   double serve_ms = 0.0;
   double fold_ms = 0.0;
-  double monitor_ms = 0.0;
+  double finish_ms = 0.0;
 
   void merge(const StageTimes& other) {
     ingest_ms += other.ingest_ms;
     route_ms += other.route_ms;
     serve_ms += other.serve_ms;
     fold_ms += other.fold_ms;
-    monitor_ms += other.monitor_ms;
+    finish_ms += other.finish_ms;
   }
 };
 

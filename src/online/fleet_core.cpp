@@ -52,11 +52,7 @@ FleetCore::FleetCore(int dim, const OnlineConfig& config, EventQueue& queue,
       ball_.push_back(cell);
     });
   }
-}
-
-void FleetCore::bind_network() {
-  network_.set_receiver([this](std::size_t to, std::size_t from,
-                               const Message& m) { on_message(to, from, m); });
+  network_.set_receiver(this);
 }
 
 void FleetCore::inject_silent_done(const Point& home) {
@@ -349,21 +345,18 @@ void FleetCore::obs_note_queries(const InitTag& init, std::size_t count) {
   if (total > obs_max_queries_per_comp_) obs_max_queries_per_comp_ = total;
 }
 
-void FleetCore::on_message(std::size_t to, std::size_t from,
-                           const Message& m) {
+void FleetCore::on_delivery(const Delivery& d) {
   sweep_clean_ = false;
-  switch (m.index()) {
-    case 0:
-      on_query(to, from, std::get<QueryMsg>(m));
+  switch (d.kind) {
+    case MsgKind::kQuery:
+      on_query(d.to, d.from, QueryMsg{d.init, d.hop});
       break;
-    case 1:
-      on_reply(to, from, std::get<ReplyMsg>(m));
+    case MsgKind::kReply:
+      on_reply(d.to, d.from, ReplyMsg{d.flag, d.init});
       break;
-    case 2:
-      on_move(to, from, std::get<MoveMsg>(m));
+    case MsgKind::kMove:
+      on_move(d.to, d.from, MoveMsg{network_.move_dest(d), d.init});
       break;
-    case 3:
-      break;  // heartbeats are counted by the network; no protocol action
   }
 }
 
@@ -605,7 +598,7 @@ void FleetCore::monitor_sweep() {
       initiate_computation(monitor_vid, dest);
       // Serialize: let this computation finish before scanning on, so two
       // concurrent searches never race for the same idle vehicle.
-      queue_.run_to_quiescence();
+      network_.run_to_quiescence();
     }
   }
 }
@@ -614,7 +607,7 @@ void FleetCore::settle(int max_rounds) {
   for (int round = 0; round < max_rounds; ++round) {
     const auto before = metrics_.monitor_initiations;
     monitor_sweep();
-    queue_.run_to_quiescence();
+    network_.run_to_quiescence();
     if (metrics_.monitor_initiations == before) break;
   }
 }

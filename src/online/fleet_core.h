@@ -15,6 +15,12 @@
 // its own cube — checked at each position update), which is what makes
 // the per-cube split exact rather than approximate.
 //
+// Message dispatch: the core binds itself as its network's one Receiver.
+// Every Query, Reply and Move in flight is a flat Delivery record in the
+// event calendar (sim/message.h); on_delivery switches on its kind into
+// on_query, on_reply or on_move. Heartbeats never become deliveries: the
+// network only counts them.
+//
 // Complexity: serving a job is O(1) plus amortized replacement cost; each
 // Phase I diffusing computation floods the O(s^ℓ) vehicles of one cube
 // through radius-r neighbor lists (O(s^ℓ · (2r+1)^ℓ) messages, realizing
@@ -183,15 +189,15 @@ struct OnlineMetrics {
   }
 };
 
-class FleetCore {
+class FleetCore final : public Network::Receiver {
  public:
-  // `queue` and `network` are borrowed; the owner must bind this core as
-  // the network receiver (see bind_network) and outlive it.
+  // `queue` and `network` are borrowed and must outlive the core, which
+  // binds itself as the network's receiver.
   FleetCore(int dim, const OnlineConfig& config, EventQueue& queue,
             Network& network);
-
-  // Installs on_message as `network`'s receiver.
-  void bind_network();
+  // The network holds this core's address.
+  FleetCore(const FleetCore&) = delete;
+  FleetCore& operator=(const FleetCore&) = delete;
 
   // Optional Tier-C span hook (borrowed; may be null). Wire before
   // serving; the recorder sees computation start/finish, relay hops,
@@ -260,7 +266,8 @@ class FleetCore {
   std::size_t vehicle_count() const { return vehicles_.size(); }
   std::optional<std::size_t> active_of_pair(const Point& any_member) const;
 
-  void on_message(std::size_t to, std::size_t from, const Message& m);
+  // The network's delivery callback: one switch on the record's kind.
+  void on_delivery(const Delivery& d) override;
 
  private:
   // Flat per-cube serving state: pair slot k/2 (k = snake index of either
@@ -377,7 +384,7 @@ class FleetCore {
   // cleared by every change to what a sweep reads: the cube set, the
   // active slots, a vehicle's dead/s1/s2, replacement_pending_,
   // pair_of_dest_ and unrecoverable_. The sites: ensure_cube, the inject_*
-  // calls, after_serving's done/dead branch, on_message,
+  // calls, after_serving's done/dead branch, on_delivery,
   // initiate_computation, and the sweep's own slot release and
   // no-healthy-monitor skip.
   // beacons_ is the number of heartbeats the last full sweep sent, which a

@@ -8,9 +8,7 @@ namespace cmvrp {
 OnlineSimulation::OnlineSimulation(int dim, const OnlineConfig& config)
     : queue_(),
       network_(queue_, Rng(config.seed), config.max_message_delay),
-      core_(dim, config, queue_, network_) {
-  core_.bind_network();
-}
+      core_(dim, config, queue_, network_) {}
 
 void OnlineSimulation::inject_silent_done(const Point& home) {
   core_.inject_silent_done(home);
@@ -31,7 +29,7 @@ bool OnlineSimulation::run(const std::vector<Job>& jobs) {
   const bool monitoring = core_.config().enable_monitoring;
   if (monitoring && !jobs.empty()) {
     core_.monitor_sweep();
-    queue_.run_to_quiescence();
+    network_.run_to_quiescence();
   }
   // Monitoring settles every `monitor_stride` arrivals (1 = after each,
   // the historical cadence), with a catch-up settle after the last job so
@@ -39,7 +37,7 @@ bool OnlineSimulation::run(const std::vector<Job>& jobs) {
   std::int64_t since_settle = 0;
   for (const auto& job : jobs) {
     core_.serve_job(job);
-    queue_.run_to_quiescence();
+    network_.run_to_quiescence();
     if (monitoring && ++since_settle >= core_.config().monitor_stride) {
       // A replacement can itself break; sweep until stable (bounded).
       core_.settle();

@@ -1,8 +1,11 @@
-// Deterministic discrete-event engine.
+// Deterministic discrete-event calendar of in-flight protocol messages.
 //
-// Events fire in (time, insertion-sequence) order, so equal-time events are
-// processed in a reproducible order; all nondeterminism in experiments
-// comes from explicitly seeded message delays, never from the engine.
+// Events are Delivery records (sim/message.h): trivially copyable, so the
+// calendar parks them by value in a free-listed slot pool and pops each
+// one back to its single consumer, Network's drain loop. Events fire in (time, insertion-sequence) order, so
+// equal-time events are processed in a reproducible order; all
+// nondeterminism in experiments comes from explicitly seeded message
+// delays, never from the engine.
 //
 // Two tiers hold pending events, both exact (no time quantization):
 //   * Near tier — a calendar of kNearTicks per-tick FIFO buckets. An event
@@ -17,17 +20,16 @@
 //     serves what can still land beyond it: a max_message_delay of 64 or
 //     more, and a burst of sends on one channel whose FIFO clamp chains
 //     each delivery one tick past the last. Those take the O(log n) heap.
-// step() fires the earlier of the nearest bucket head and the heap top.
+// pop() takes the earlier of the nearest bucket head and the heap top.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <queue>
-#include <utility>
 #include <vector>
 
+#include "sim/message.h"
 #include "util/check.h"
-#include "util/small_fn.h"
 
 namespace cmvrp {
 
@@ -35,11 +37,6 @@ using SimTime = std::int64_t;
 
 class EventQueue {
  public:
-  // SmallFn rather than std::function: delivery closures capture the
-  // endpoint ids plus a Message payload, which overflows std::function's
-  // small-object buffer and costs a heap allocation per simulated message.
-  using Handler = SmallFn<128>;
-
   // Width of the near tier in ticks (one bit of the occupancy mask each).
   static constexpr SimTime kNearTicks = 64;
 
@@ -48,20 +45,20 @@ class EventQueue {
   std::size_t pending() const { return near_count_ + far_.size(); }
   std::uint64_t processed() const { return processed_; }
 
-  // Schedules `fn` at absolute time `at` (must be >= now()).
-  // The handler parks in a free-listed slot pool and both tiers queue
-  // slot indices, so ordering events never moves a Handler buffer.
-  void schedule(SimTime at, Handler fn) {
+  // Schedules `d` at absolute time `at` (must be >= now()). The record
+  // parks in a free-listed slot pool and both tiers queue slot indices,
+  // so ordering events never moves a record.
+  void schedule(SimTime at, const Delivery& d) {
     CMVRP_CHECK_MSG(at >= now_, "cannot schedule into the past");
     std::uint32_t slot;
     if (free_slots_.empty()) {
-      slot = static_cast<std::uint32_t>(handlers_.size());
-      handlers_.push_back(std::move(fn));
+      slot = static_cast<std::uint32_t>(records_.size());
+      records_.push_back(d);
       next_.push_back(kNil);
     } else {
       slot = free_slots_.back();
       free_slots_.pop_back();
-      handlers_[slot] = std::move(fn);
+      records_[slot] = d;
       next_[slot] = kNil;
     }
     const std::uint64_t seq = next_seq_++;
@@ -81,13 +78,9 @@ class EventQueue {
     ++near_count_;
   }
 
-  void schedule_after(SimTime delay, Handler fn) {
-    CMVRP_CHECK(delay >= 0);
-    schedule(now_ + delay, std::move(fn));
-  }
-
-  // Runs the earliest event. Returns false when the queue is empty.
-  bool step() {
+  // Removes the earliest event into `out` and advances now() to its time.
+  // Returns false when the queue is empty.
+  bool pop(Delivery& out) {
     std::uint32_t slot;
     if (occupied_ != 0) {
       const SimTime near_at = now_ + ticks_to_nearest_bucket();
@@ -111,22 +104,10 @@ class EventQueue {
       return false;
     }
     ++processed_;
-    // Move the handler out before invoking: the handler may schedule new
-    // events, which may reuse (and overwrite) this slot.
-    Handler fn = std::move(handlers_[slot]);
+    // Copied out: handling it may schedule into (and reuse) this slot.
+    out = records_[slot];
     free_slots_.push_back(slot);
-    fn();
     return true;
-  }
-
-  // Drains the queue; throws if more than `max_events` fire (guards
-  // against protocol livelock in tests).
-  void run_to_quiescence(std::uint64_t max_events = 10'000'000) {
-    std::uint64_t fired = 0;
-    while (step()) {
-      CMVRP_CHECK_MSG(++fired <= max_events,
-                      "event budget exhausted: likely livelock");
-    }
   }
 
  private:
@@ -136,7 +117,7 @@ class EventQueue {
   struct FarEvent {
     SimTime at;
     std::uint64_t seq;
-    std::uint32_t slot;  // index into handlers_
+    std::uint32_t slot;  // index into records_
     bool operator>(const FarEvent& other) const {
       if (at != other.at) return at > other.at;
       return seq > other.seq;
@@ -176,7 +157,7 @@ class EventQueue {
   std::uint64_t occupied_ = 0;  // bit b set <=> buckets_[b] is non-empty
   std::size_t near_count_ = 0;
   std::priority_queue<FarEvent, std::vector<FarEvent>, std::greater<>> far_;
-  std::vector<Handler> handlers_;          // slot pool; parallel free list
+  std::vector<Delivery> records_;          // slot pool; parallel free list
   std::vector<std::uint32_t> next_;        // bucket FIFO links, per slot
   std::vector<std::uint32_t> free_slots_;
   SimTime now_ = 0;

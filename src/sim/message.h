@@ -3,13 +3,15 @@
 // Phase I uses query/reply pairs tagged with the initiator identity (plus
 // a sequence number, as the paper's `init` discussion suggests, so repeat
 // computations by the same vehicle stay distinct). Phase II uses a single
-// move message carrying the destination. `existing` heartbeats support the
-// monitoring ring of §3.2.5.
+// move message carrying the destination. The §3.2.5 monitoring ring's
+// `existing` heartbeats carry nothing and are only counted
+// (Network::count_heartbeats). In flight, every message is one Delivery
+// record.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <variant>
+#include <type_traits>
 
 #include "grid/point.h"
 
@@ -60,23 +62,25 @@ struct MoveMsg {
   InitTag init;
 };
 
-// §3.2.5 monitoring: periodic liveness beacon.
-struct ExistingMsg {};
+// Message kinds, numbered as the span layer's `aux` (obs/span.h).
+enum class MsgKind : std::uint8_t { kQuery = 0, kReply = 1, kMove = 2 };
 
-using Message = std::variant<QueryMsg, ReplyMsg, MoveMsg, ExistingMsg>;
-
-inline const char* message_kind(const Message& m) {
-  switch (m.index()) {
-    case 0:
-      return "query";
-    case 1:
-      return "reply";
-    case 2:
-      return "move";
-    case 3:
-      return "existing";
-  }
-  return "?";
-}
+// One in-flight message, as the event calendar stores it: endpoints
+// (vehicle ids, checked at send to fit 32 bits), kind, and the kind's
+// payload — `hop` for a query, `flag` for a reply, and for a move the
+// slot of its destination in the network's side table
+// (Network::move_dest), which keeps the record small for the
+// query/reply traffic that dominates a flood.
+struct Delivery {
+  InitTag init;
+  std::uint32_t from = 0;
+  std::uint32_t to = 0;
+  std::uint32_t hop = 0;
+  std::uint32_t dest = 0;
+  MsgKind kind = MsgKind::kQuery;
+  bool flag = false;
+};
+static_assert(std::is_trivially_copyable_v<Delivery>,
+              "the event calendar copies deliveries by value");
 
 }  // namespace cmvrp

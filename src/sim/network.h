@@ -2,14 +2,21 @@
 //   * free (no energy cost), reliable, unaltered delivery,
 //   * arbitrary finite per-message delay,
 //   * per-channel FIFO ("messages sent from P to Q arrive in order sent"),
-//   * unbounded input buffers (receivers are invoked per message).
+//   * unbounded input buffers (the receiver is invoked per message).
+//
+// A send counts its kind, draws the delay, applies the channel's FIFO
+// clamp and schedules one flat Delivery record (sim/message.h) — no
+// closure, no allocation once the calendar's slot pool is warm. The
+// drain loop pops records in (time, seq) order and hands each to the one
+// bound Receiver, which switches on the kind.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <utility>
+#include <vector>
 
+#include "grid/point.h"
 #include "obs/span.h"
 #include "sim/event_queue.h"
 #include "sim/message.h"
@@ -51,54 +58,52 @@ struct NetworkStats {
 
 class Network {
  public:
-  // Deliveries receive (to, from, message).
-  using Receiver =
-      std::function<void(std::size_t, std::size_t, const Message&)>;
+  // The one consumer of deliveries (FleetCore in the protocol).
+  struct Receiver {
+    virtual void on_delivery(const Delivery& d) = 0;
+
+   protected:
+    ~Receiver() = default;
+  };
 
   Network(EventQueue& queue, Rng rng, SimTime max_delay)
       : queue_(queue), rng_(std::move(rng)), max_delay_(max_delay) {
     CMVRP_CHECK(max_delay >= 0);
   }
 
-  void set_receiver(Receiver r) { receiver_ = std::move(r); }
+  // Borrowed; must outlive every delivery.
+  void set_receiver(Receiver* r) { receiver_ = r; }
 
   // Optional Tier-C span hook (borrowed; may be null). When set, every
   // non-heartbeat send and delivery is recorded on the cube protocol
   // clock — heartbeats stay invisible, matching their elided delivery.
   void set_spans(SpanRecorder* spans) { spans_ = spans; }
 
-  // Sends m from -> to with a random delay in [1, 1 + max_delay], clamped
-  // so the channel stays FIFO. A heartbeat is only counted (see
-  // count_heartbeats).
-  void send(std::size_t from, std::size_t to, Message m) {
-    CMVRP_CHECK_MSG(receiver_, "network has no receiver bound");
-    if (m.index() == 3) {
-      count_heartbeats(1);
-      return;
-    }
-    count(m);
-    const SimTime delay =
-        1 + static_cast<SimTime>(
-                max_delay_ > 0
-                    ? rng_.next_below(static_cast<std::uint64_t>(max_delay_) + 1)
-                    : 0);
-    SimTime at = queue_.now() + delay;
-    SimTime& last = last_delivery_[channel_key(from, to)];
-    if (at <= last) at = last + 1;  // preserve per-channel ordering
-    last = at;
-    if (spans_ != nullptr) {
-      spans_->message(queue_.now(), /*send=*/true, static_cast<int>(m.index()),
-                      span_comp(m), from, to, span_hop(m));
-    }
-    queue_.schedule(at, [this, from, to, m = std::move(m)]() {
-      if (spans_ != nullptr) {
-        spans_->message(queue_.now(), /*send=*/false,
-                        static_cast<int>(m.index()), span_comp(m), from, to,
-                        span_hop(m));
-      }
-      receiver_(to, from, m);
-    });
+  // Typed sends: each counts its kind and posts one record from -> to.
+  void send(std::size_t from, std::size_t to, const QueryMsg& m) {
+    ++stats_.queries;
+    post(from, to, {m.init, 0, 0, m.hop, 0, MsgKind::kQuery, false});
   }
+  void send(std::size_t from, std::size_t to, const ReplyMsg& m) {
+    ++stats_.replies;
+    post(from, to, {m.init, 0, 0, 0, 0, MsgKind::kReply, m.flag});
+  }
+  void send(std::size_t from, std::size_t to, const MoveMsg& m) {
+    ++stats_.moves;
+    auto slot = static_cast<std::uint32_t>(dests_.size());
+    if (free_dests_.empty()) {
+      dests_.push_back(m.dest);
+    } else {
+      slot = free_dests_.back();
+      free_dests_.pop_back();
+      dests_[slot] = m.dest;
+    }
+    post(from, to, {m.init, 0, 0, 0, slot, MsgKind::kMove, false});
+  }
+
+  // The destination a move delivery carries. Its slot is released once
+  // the receiver returns.
+  Point move_dest(const Delivery& d) const { return dests_[d.dest]; }
 
   // Counts n §3.2.5 heartbeats ("existing" messages). Heartbeats are
   // protocol no-ops on the receiving side — monitoring reads fleet state
@@ -111,61 +116,72 @@ class Network {
     stats_.heartbeat_skips += n;
   }
 
+  // Delivers the earliest message. Returns false when none is in flight.
+  bool step() {
+    Delivery d;
+    if (!queue_.pop(d)) return false;
+    deliver(d);
+    return true;
+  }
+
+  // Delivers until nothing is in flight; throws if more than `max_events`
+  // fire (guards against protocol livelock).
+  void run_to_quiescence(std::uint64_t max_events = 10'000'000) {
+    for (std::uint64_t fired = 0; step();) {
+      CMVRP_CHECK_MSG(++fired <= max_events,
+                      "event budget exhausted: likely livelock");
+    }
+  }
+
   const NetworkStats& stats() const { return stats_; }
 
  private:
-  // Span-layer scalars of a message: the owning computation's packed
-  // InitTag and (for queries) the hop the message travels at. Heartbeats
-  // never reach these (send() only counts them).
-  static std::uint64_t span_comp(const Message& m) {
-    switch (m.index()) {
-      case 0:
-        return packed_init(std::get<QueryMsg>(m).init);
-      case 1:
-        return packed_init(std::get<ReplyMsg>(m).init);
-      case 2:
-        return packed_init(std::get<MoveMsg>(m).init);
-    }
-    return 0;
-  }
-
-  static std::uint32_t span_hop(const Message& m) {
-    return m.index() == 0 ? std::get<QueryMsg>(m).hop : 0;
-  }
-
-  void count(const Message& m) {
-    switch (m.index()) {
-      case 0:
-        ++stats_.queries;
-        break;
-      case 1:
-        ++stats_.replies;
-        break;
-      case 2:
-        ++stats_.moves;
-        break;
-    }
-  }
-
-  // Channel key packs (from, to) into one word. Vehicle ids are dense
-  // small integers (indices into the fleet), so 32 bits per endpoint is
-  // ample; the check keeps the packing honest if that ever changes.
-  static std::uint64_t channel_key(std::size_t from, std::size_t to) {
+  // Schedules `d` with a random delay in [1, 1 + max_delay], clamped so
+  // the channel stays FIFO.
+  void post(std::size_t from, std::size_t to, Delivery d) {
+    CMVRP_CHECK_MSG(receiver_ != nullptr, "network has no receiver bound");
+    const SimTime delay =
+        1 + static_cast<SimTime>(
+                max_delay_ > 0
+                    ? rng_.next_below(static_cast<std::uint64_t>(max_delay_) + 1)
+                    : 0);
+    SimTime at = queue_.now() + delay;
+    // Vehicle ids are dense fleet indices; 32 bits each keeps the record
+    // small and packs a channel into one clamp key.
     CMVRP_CHECK_MSG(from < (1ull << 32) && to < (1ull << 32),
-                    "vehicle id exceeds channel-key packing");
-    return (static_cast<std::uint64_t>(from) << 32) |
-           static_cast<std::uint64_t>(to);
+                    "vehicle id exceeds 32 bits");
+    d.from = static_cast<std::uint32_t>(from);
+    d.to = static_cast<std::uint32_t>(to);
+    SimTime& last = last_delivery_[std::uint64_t{d.from} << 32 | d.to];
+    if (at <= last) at = last + 1;  // preserve per-channel ordering
+    last = at;
+    if (spans_ != nullptr) {
+      spans_->message(queue_.now(), /*send=*/true, static_cast<int>(d.kind),
+                      packed_init(d.init), from, to, d.hop);
+    }
+    queue_.schedule(at, d);
+  }
+
+  void deliver(const Delivery& d) {
+    if (spans_ != nullptr) {
+      spans_->message(queue_.now(), /*send=*/false, static_cast<int>(d.kind),
+                      packed_init(d.init), d.from, d.to, d.hop);
+    }
+    receiver_->on_delivery(d);
+    if (d.kind == MsgKind::kMove) free_dests_.push_back(d.dest);
   }
 
   EventQueue& queue_;
   Rng rng_;
   SimTime max_delay_;
-  Receiver receiver_;
+  Receiver* receiver_ = nullptr;
   NetworkStats stats_;
   SpanRecorder* spans_ = nullptr;  // borrowed Tier-C hook; may be null
-  // Per-channel FIFO clamp state. Open-addressed: one probe per send
-  // beats the rb-tree walk the old std::map did on every message.
+  // Per-channel FIFO clamp: last delivery tick, keyed (from, to).
   FlatMap<std::uint64_t, SimTime, U64Hash> last_delivery_;
+  // Destinations of the moves in flight, free-listed by slot.
+  std::vector<Point> dests_;
+  std::vector<std::uint32_t> free_dests_;
 };
 
 }  // namespace cmvrp

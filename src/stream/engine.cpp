@@ -207,7 +207,7 @@ StreamResult StreamEngine::finish() {
   // (at most queue_limit jobs per cube) and a serial walk keeps the
   // trailing observer batch in deterministic shard-then-cube order.
   const bool observing = observer_ != nullptr;
-  WallTimer monitor_timer;
+  WallTimer finish_timer;
   for (std::size_t s = 0; s < shards_.size(); ++s)
     shards_[s].finish(observing ? &outcomes_[s] : nullptr);
   if (observing) flush_outcomes();
@@ -248,7 +248,7 @@ StreamResult StreamEngine::finish() {
   std::sort(result.served_jobs.begin(), result.served_jobs.end());
   std::sort(result.failed_jobs.begin(), result.failed_jobs.end());
   std::sort(result.shed_jobs.begin(), result.shed_jobs.end());
-  stages_.monitor_ms += monitor_timer.elapsed_ms();
+  stages_.finish_ms += finish_timer.elapsed_ms();
   stages_.route_ms = routing_ms_;
   result.stages = stages_;
   if (snapshotter_ != nullptr)

@@ -29,7 +29,6 @@ CubeServer::CubeServer(int dim, const OnlineConfig& config,
       core_(dim, config, queue_, network_),
       series_(config.sample_stride),
       obs_(config.obs.counters) {
-  core_.bind_network();
   if (config.obs.spans) {
     spans_rec_ = std::make_unique<SpanRecorder>(config.obs.span_sample,
                                                 config.obs.flight);
@@ -52,7 +51,7 @@ void CubeServer::serve_now(const Job& job, SimTime queue_wait,
   // the ring, not to this job.
   const std::uint64_t repl_before = obs_ ? core_.metrics().replacements : 0;
   const bool ok = core_.serve_job(job, corner_);
-  queue_.run_to_quiescence();
+  network_.run_to_quiescence();
   if (obs_ && ok)
     cascade_.add(
         static_cast<std::int64_t>(core_.metrics().replacements - repl_before));
@@ -112,7 +111,7 @@ void CubeServer::serve(const Job& job, std::vector<JobOutcome>* out) {
     core_.ensure_cube_at(job.position);
     if (core_.config().enable_monitoring) {
       core_.monitor_sweep();
-      queue_.run_to_quiescence();
+      network_.run_to_quiescence();
     }
   }
   ++arrivals_;

@@ -16,6 +16,8 @@
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "stream/engine.h"
+#include "util/digest.h"
+#include "util/hash.h"
 #include "workload/generators.h"
 
 namespace cmvrp {
@@ -33,52 +35,72 @@ OnlineConfig small_config(double capacity, std::int64_t side = 4,
 
 // --- event queue / network substrate ----------------------------------------
 
+// A calendar record tagged with a test id (carried in init.seq).
+Delivery tagged(std::uint64_t id) {
+  Delivery d;
+  d.init.seq = id;
+  return d;
+}
+
+std::vector<std::uint64_t> drain_ids(EventQueue& q) {
+  std::vector<std::uint64_t> ids;
+  for (Delivery d; q.pop(d);) ids.push_back(d.init.seq);
+  return ids;
+}
+
 TEST(EventQueue, FiresInTimeThenInsertionOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule(5, [&] { order.push_back(2); });
-  q.schedule(1, [&] { order.push_back(0); });
-  q.schedule(5, [&] { order.push_back(3); });
-  q.schedule(2, [&] { order.push_back(1); });
-  q.run_to_quiescence();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  q.schedule(5, tagged(2));
+  q.schedule(1, tagged(0));
+  q.schedule(5, tagged(3));
+  q.schedule(2, tagged(1));
+  EXPECT_EQ(drain_ids(q), (std::vector<std::uint64_t>{0, 1, 2, 3}));
   EXPECT_EQ(q.now(), 5);
 }
 
 TEST(EventQueue, RejectsPastScheduling) {
   EventQueue q;
-  q.schedule(10, [] {});
-  q.step();
-  EXPECT_THROW(q.schedule(5, [] {}), check_error);
+  q.schedule(10, tagged(0));
+  Delivery d;
+  ASSERT_TRUE(q.pop(d));
+  EXPECT_THROW(q.schedule(5, tagged(1)), check_error);
 }
 
+// A receiver that answers every delivery with another message never lets
+// the network go quiet; the drain loop's event budget must stop it.
 TEST(EventQueue, DetectsLivelock) {
   EventQueue q;
-  std::function<void()> reschedule = [&] {
-    q.schedule_after(1, reschedule);
-  };
-  q.schedule(0, reschedule);
-  EXPECT_THROW(q.run_to_quiescence(1000), check_error);
+  Network net(q, Rng(1), 0);
+  struct Echo final : Network::Receiver {
+    explicit Echo(Network& n) : net(n) {}
+    void on_delivery(const Delivery& d) override {
+      net.send(d.to, d.from, QueryMsg{d.init, d.hop});
+    }
+    Network& net;
+  } echo(net);
+  net.set_receiver(&echo);
+  net.send(0, 1, QueryMsg{});
+  EXPECT_THROW(net.run_to_quiescence(1000), check_error);
+  EXPECT_EQ(q.processed(), 1001u);
 }
 
 // Runs EventQueue against a reference (time, seq) binary heap kept here.
-// Every schedule goes to both; each step pops the reference minimum and
-// requires the queue to fire that very event at that time, with the same
-// pending/empty/processed bookkeeping. Delays reach 10x the near-tier
-// width, so both tiers fill, and handlers schedule while step() runs.
+// Every schedule goes to both; each pop takes the reference minimum and
+// requires the queue to yield that very record at that time, with the
+// same pending/empty/processed bookkeeping. A record's id rides in
+// init.seq and its follow-up work in the other fields, which the test
+// performs after the pop, as a delivery's receiver would. Delays reach
+// 10x the near-tier width, so both tiers fill.
 class EventQueueDifferential {
  public:
   explicit EventQueueDifferential(std::uint64_t seed) : rng_(seed) {}
 
-  // Schedules event `id` at `at` on both queues; `children` more events
-  // are scheduled from inside its handler when it fires.
+  // Schedules record `id` at `at` on both queues; `children` more records
+  // are scheduled when it fires.
   void schedule(SimTime at, int children) {
-    const std::size_t id = next_id_++;
-    ref_.push({at, id});
-    q_.schedule(at, [this, id, children] {
-      fired_.push_back(id);
-      for (int c = 0; c < children; ++c) spawn();
-    });
+    Delivery d = tagged(next_id_++);
+    d.from = static_cast<std::uint32_t>(children);
+    push(at, d);
   }
 
   // A child with a mostly short delay (message-like: 0..4 ticks) and
@@ -92,22 +114,21 @@ class EventQueueDifferential {
     schedule(q_.now() + delay, static_cast<int>(rng_.next_int(0, 2)));
   }
 
-  // Same-tick ties between the tiers: an event scheduled exactly
+  // Same-tick ties between the tiers: a record scheduled exactly
   // kNearTicks ahead goes to the far tier; once the clock has moved one
-  // tick, more events at that tick go to the bucket and must fire after it.
+  // tick, more records at that tick go to the bucket and must fire after
+  // it. The record due in one tick (to = 1) schedules those two at the
+  // tick kept in init.vehicle.
   void schedule_tier_ties() {
     const SimTime t = q_.now() + EventQueue::kNearTicks;
     schedule(t, 0);
-    const std::size_t id = next_id_++;
-    ref_.push({q_.now() + 1, id});
-    q_.schedule(q_.now() + 1, [this, id, t] {
-      fired_.push_back(id);
-      schedule(t, 1);
-      schedule(t, 0);
-    });
+    Delivery d = tagged(next_id_++);
+    d.to = 1;
+    d.init.vehicle = static_cast<std::size_t>(t);
+    push(q_.now() + 1, d);
   }
 
-  // Steps both queues to quiescence, checking every step.
+  // Pops both queues to quiescence, checking every pop.
   void drain() {
     while (!ref_.empty()) {
       ASSERT_FALSE(q_.empty());
@@ -115,16 +136,18 @@ class EventQueueDifferential {
       const Ref expect = ref_.top();
       ref_.pop();
       const std::uint64_t before = q_.processed();
-      ASSERT_TRUE(q_.step());
+      Delivery d;
+      ASSERT_TRUE(q_.pop(d));
       ASSERT_EQ(q_.processed(), before + 1);
-      ASSERT_FALSE(fired_.empty());
-      ASSERT_EQ(fired_.back(), expect.id) << "at t=" << expect.at;
+      ASSERT_EQ(d.init.seq, expect.id) << "at t=" << expect.at;
       ASSERT_EQ(q_.now(), expect.at);
       ASSERT_EQ(q_.pending(), ref_.size());
+      fire(d);
     }
     EXPECT_TRUE(q_.empty());
     EXPECT_EQ(q_.pending(), 0u);
-    EXPECT_FALSE(q_.step());
+    Delivery d;
+    EXPECT_FALSE(q_.pop(d));
     EXPECT_EQ(q_.processed(), next_id_);
   }
 
@@ -141,10 +164,24 @@ class EventQueueDifferential {
     }
   };
 
+  void push(SimTime at, const Delivery& d) {
+    ref_.push({at, static_cast<std::size_t>(d.init.seq)});
+    q_.schedule(at, d);
+  }
+
+  void fire(const Delivery& d) {
+    if (d.to == 1) {
+      const auto t = static_cast<SimTime>(d.init.vehicle);
+      schedule(t, 1);
+      schedule(t, 0);
+      return;
+    }
+    for (std::uint32_t c = 0; c < d.from; ++c) spawn();
+  }
+
   Rng rng_;
   EventQueue q_;
   std::priority_queue<Ref, std::vector<Ref>, std::greater<>> ref_;
-  std::vector<std::size_t> fired_;
   std::size_t next_id_ = 0;
 };
 
@@ -164,67 +201,89 @@ TEST(EventQueue, MatchesReferenceHeapOnRandomSchedules) {
   }
 }
 
+// Binds itself to `net` and records every delivery with the tick it
+// fired at (and a move's destination).
+struct Collector final : Network::Receiver {
+  struct Seen {
+    SimTime at;
+    Delivery d;
+    Point dest;
+  };
+  Collector(const EventQueue& q, Network& n) : queue(q), net(n) {
+    n.set_receiver(this);
+  }
+  void on_delivery(const Delivery& d) override {
+    got.push_back({queue.now(), d,
+                   d.kind == MsgKind::kMove ? net.move_dest(d) : Point{}});
+  }
+  const EventQueue& queue;
+  const Network& net;
+  std::vector<Seen> got;
+};
+
 TEST(Network, ChannelsAreFifo) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     EventQueue q;
     Network net(q, Rng(seed), /*max_delay=*/7);
-    std::vector<std::uint64_t> received;
-    net.set_receiver([&](std::size_t, std::size_t, const Message& m) {
-      received.push_back(std::get<ReplyMsg>(m).init.seq);
-    });
+    Collector c(q, net);
     for (std::uint64_t i = 0; i < 30; ++i)
       net.send(0, 1, ReplyMsg{true, InitTag{0, i}});
-    q.run_to_quiescence();
-    ASSERT_EQ(received.size(), 30u);
-    EXPECT_TRUE(std::is_sorted(received.begin(), received.end()))
-        << "seed " << seed;
+    net.run_to_quiescence();
+    ASSERT_EQ(c.got.size(), 30u);
+    for (std::size_t i = 0; i < c.got.size(); ++i) {
+      EXPECT_EQ(c.got[i].d.init.seq, i) << "seed " << seed;
+      if (i > 0) {
+        EXPECT_GT(c.got[i].at, c.got[i - 1].at) << "seed " << seed;
+      }
+    }
   }
 }
 
 TEST(Network, CountsByKind) {
   EventQueue q;
   Network net(q, Rng(3), 2);
-  net.set_receiver([](std::size_t, std::size_t, const Message&) {});
-  net.send(0, 1, QueryMsg{});
-  net.send(1, 0, ReplyMsg{});
-  net.send(0, 2, MoveMsg{Point{0, 0}, kNoInit});
-  net.send(2, 0, ExistingMsg{});
-  q.run_to_quiescence();
+  Collector c(q, net);
+  net.send(0, 1, QueryMsg{InitTag{0, 1}, 4});
+  net.send(1, 0, ReplyMsg{true, InitTag{1, 2}});
+  net.send(0, 2, MoveMsg{Point{3, 5}, InitTag{0, 3}});
+  net.count_heartbeats(1);
+  net.run_to_quiescence();
   EXPECT_EQ(net.stats().queries, 1u);
   EXPECT_EQ(net.stats().replies, 1u);
   EXPECT_EQ(net.stats().moves, 1u);
   EXPECT_EQ(net.stats().heartbeats, 1u);
   EXPECT_EQ(net.stats().total(), 4u);
+  // Each record delivers its kind and payload to the receiver.
+  ASSERT_EQ(c.got.size(), 3u);
+  std::sort(c.got.begin(), c.got.end(),
+            [](const Collector::Seen& a, const Collector::Seen& b) {
+              return a.d.kind < b.d.kind;
+            });
+  EXPECT_EQ(c.got[0].d.kind, MsgKind::kQuery);
+  EXPECT_EQ(c.got[0].d.hop, 4u);
+  EXPECT_EQ(c.got[0].d.init, (InitTag{0, 1}));
+  EXPECT_EQ(c.got[1].d.kind, MsgKind::kReply);
+  EXPECT_TRUE(c.got[1].d.flag);
+  EXPECT_EQ(c.got[1].d.from, 1u);
+  EXPECT_EQ(c.got[1].d.to, 0u);
+  EXPECT_EQ(c.got[2].d.kind, MsgKind::kMove);
+  EXPECT_EQ(c.got[2].d.init, (InitTag{0, 3}));
+  EXPECT_EQ(c.got[2].dest, (Point{3, 5}));
 }
 
 // Heartbeats are counted, never drawn or clamped: a network that also
-// sends heartbeats — as ExistingMsg through send() and in bulk through
-// count_heartbeats() — must deliver every query at the same time and in
-// the same order as one that never sends any. Queries share channels with
-// the heartbeats and clock steps interleave, so a heartbeat that drew a
+// counts heartbeats — one at a time and in bulk — must deliver every
+// query at the same time and in the same order as one that never counts
+// any. Clock steps interleave with the sends, so a heartbeat that drew a
 // delay or advanced a FIFO clamp would shift a delivery.
 TEST(Network, HeartbeatsLeaveQueryDeliveriesUnchanged) {
-  struct Delivery {
-    SimTime at;
-    std::size_t from, to;
-    std::uint64_t seq;
-    bool operator==(const Delivery& o) const {
-      return std::tie(at, from, to, seq) == std::tie(o.at, o.from, o.to, o.seq);
-    }
-  };
   for (const SimTime max_delay : {0, 3, 7}) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       SCOPED_TRACE("max_delay " + std::to_string(max_delay) + " seed " +
                    std::to_string(seed));
       EventQueue qa, qb;
       Network a(qa, Rng(seed), max_delay), b(qb, Rng(seed), max_delay);
-      std::vector<Delivery> got_a, got_b;
-      a.set_receiver([&](std::size_t to, std::size_t from, const Message& m) {
-        got_a.push_back({qa.now(), from, to, std::get<QueryMsg>(m).init.seq});
-      });
-      b.set_receiver([&](std::size_t to, std::size_t from, const Message& m) {
-        got_b.push_back({qb.now(), from, to, std::get<QueryMsg>(m).init.seq});
-      });
+      Collector got_a(qa, a), got_b(qb, b);
       std::uint64_t sent = 0;
       Rng script(100 + seed);
       for (std::uint64_t op = 0; op < 3000; ++op) {
@@ -232,7 +291,7 @@ TEST(Network, HeartbeatsLeaveQueryDeliveriesUnchanged) {
         const auto to = static_cast<std::size_t>(script.next_below(5));
         const std::uint64_t kind = script.next_below(8);
         if (kind < 4) {
-          a.send(from, to, ExistingMsg{});  // b sends no heartbeat
+          a.count_heartbeats(1);  // b counts no heartbeat
           ++sent;
         } else if (kind == 4) {
           const std::uint64_t n = script.next_below(40);
@@ -244,17 +303,24 @@ TEST(Network, HeartbeatsLeaveQueryDeliveriesUnchanged) {
           b.send(from, to, q);
         } else {
           for (std::uint64_t k = script.next_below(4); k > 0; --k) {
-            qa.step();
-            qb.step();
+            a.step();
+            b.step();
           }
         }
         ASSERT_EQ(qa.now(), qb.now());
         ASSERT_EQ(qa.pending(), qb.pending());
       }
-      qa.run_to_quiescence();
-      qb.run_to_quiescence();
-      EXPECT_GT(got_a.size(), 500u);
-      EXPECT_TRUE(got_a == got_b);
+      a.run_to_quiescence();
+      b.run_to_quiescence();
+      EXPECT_GT(got_a.got.size(), 500u);
+      ASSERT_EQ(got_a.got.size(), got_b.got.size());
+      for (std::size_t i = 0; i < got_a.got.size(); ++i) {
+        const Collector::Seen& x = got_a.got[i];
+        const Collector::Seen& y = got_b.got[i];
+        ASSERT_TRUE(std::tie(x.at, x.d.from, x.d.to, x.d.init.seq) ==
+                    std::tie(y.at, y.d.from, y.d.to, y.d.init.seq))
+            << "delivery " << i;
+      }
       EXPECT_EQ(b.stats().heartbeats, 0u);
       EXPECT_GT(sent, 1500u);
       EXPECT_EQ(a.stats().heartbeats - b.stats().heartbeats, sent);
@@ -492,9 +558,7 @@ TEST(OnlineSim, ConstantBreakagesToleratedWithModestEnergy) {
 struct CoreHarness {
   CoreHarness(int dim, const OnlineConfig& config)
       : network(queue, Rng(config.seed), config.max_message_delay),
-        core(dim, config, queue, network) {
-    core.bind_network();
-  }
+        core(dim, config, queue, network) {}
   EventQueue queue;
   Network network;
   FleetCore core;
@@ -571,7 +635,7 @@ TEST(NeighborIndex, MatchesMemberScanThroughServesAndMoves) {
         Point p = corners[rng.next_below(2)];
         for (int i = 0; i < dim; ++i) p[i] += rng.next_int(0, c.cube_side - 1);
         h.core.serve_job(Job{p, j});
-        h.queue.run_to_quiescence();
+        h.network.run_to_quiescence();
         if (j % 7 == 6) h.core.settle();
         colocated += expect_index_matches_scan(h.core, corners);
       }
@@ -623,9 +687,8 @@ TEST(NeighborIndex, MoveOutsideOwnCubeIsRejected) {
   // would carry it into the neighboring cube must fail the invariant.
   const Vehicle* idle = h.core.vehicle_at_home(Point{0, 1});
   ASSERT_EQ(idle->s1, WorkState::kIdle);
-  EXPECT_THROW(h.core.on_message(idle->id, idle->id,
-                                 MoveMsg{Point{4, 1}, InitTag{0, 1}}),
-               check_error);
+  h.network.send(idle->id, idle->id, MoveMsg{Point{4, 1}, InitTag{0, 1}});
+  EXPECT_THROW(h.network.run_to_quiescence(), check_error);
   EXPECT_EQ(idle->pos, (Point{0, 1}));
 }
 
@@ -802,12 +865,12 @@ RingOutcome run_ring_case(const RingCase& c) {
   inject_failures(h.core, c, in);
   for (const Job& job : in.jobs) h.core.ensure_cube_at(job.position);
   h.core.monitor_sweep();
-  h.queue.run_to_quiescence();
+  h.network.run_to_quiescence();
   std::vector<std::int64_t> failed;
   std::int64_t since_settle = 0;
   for (const Job& job : in.jobs) {
     if (!h.core.serve_job(job)) failed.push_back(job.index);
-    h.queue.run_to_quiescence();
+    h.network.run_to_quiescence();
     if (++since_settle >= c.stride) {
       h.core.settle();
       since_settle = 0;
@@ -940,9 +1003,9 @@ TEST(CleanSweep, ReplayMatchesForcedFullSweeps) {
         }
         const Job& job = in.jobs[i];
         const bool ok = replay.core.serve_job(job);
-        replay.queue.run_to_quiescence();
+        replay.network.run_to_quiescence();
         ASSERT_EQ(full.core.serve_job(job), ok) << "job " << i;
-        full.queue.run_to_quiescence();
+        full.network.run_to_quiescence();
         if (++since_settle < stride) continue;
         since_settle = 0;
         replay.core.settle();
@@ -987,7 +1050,7 @@ TEST(CleanSweep, NoHealthyMonitorDefersTheReplacement) {
     ASSERT_TRUE(h.core.serve_job(Job{primaries[1], j}));
   }
   ASSERT_EQ(h.core.metrics().computations_started, 1u);
-  for (int i = 0; i < 15; ++i) ASSERT_TRUE(h.queue.step());
+  for (int i = 0; i < 15; ++i) ASSERT_TRUE(h.network.step());
   ASSERT_FALSE(h.queue.empty());
   for (std::size_t slot = 2; slot < primaries.size(); ++slot) {
     const Vehicle& v = *h.core.vehicle_at_home(primaries[slot]);
@@ -1004,7 +1067,7 @@ TEST(CleanSweep, NoHealthyMonitorDefersTheReplacement) {
 
   // The flood drains and hands slot 1 an idle vehicle; the victim slot is
   // still empty, and the next settle initiates for it.
-  h.queue.run_to_quiescence();
+  h.network.run_to_quiescence();
   ASSERT_EQ(h.core.metrics().replacements, 1u);
   ASSERT_NE(h.core.active_of_pair(primaries[1]), initiator);
   EXPECT_FALSE(h.core.active_of_pair(victim).has_value());
@@ -1014,6 +1077,223 @@ TEST(CleanSweep, NoHealthyMonitorDefersTheReplacement) {
   ASSERT_TRUE(h.core.active_of_pair(victim).has_value());
   EXPECT_NE(*h.core.active_of_pair(victim),
             h.core.vehicle_at_home(victim)->id);
+}
+
+// --- Phase I flood golden outcomes -------------------------------------------
+//
+// Floods over side-8 and side-16 cubes (64 and 256 vehicles, radius 2),
+// pinned at the three delay regimes of the event calendar: a
+// max_message_delay of 0 (every delivery one tick out), 3 (the default)
+// and 70 (a delay of 64 or more ticks lands in the far heap, so both
+// tiers interleave). Each case runs on a bare FleetCore and on a
+// StreamEngine. The pins cover the served and failed sets (as
+// order-invariant digests), every NetworkStats field, replacements,
+// energy, travel and the per-computation query peak, and were captured
+// before message deliveries became flat records: a delivery that fires
+// at a different tick or in a different order moves them.
+
+struct FloodCase {
+  std::int64_t side;
+  SimTime max_delay;
+  bool stream;  // StreamEngine, else a bare FleetCore
+};
+
+struct FloodOutcome {
+  std::uint64_t served, failed, served_digest, failed_digest;
+  std::uint64_t queries, replies, moves, heartbeats, heartbeat_skips;
+  std::uint64_t replacements, travel, max_queries_per_comp;
+  double max_energy, total_energy;
+
+  friend bool operator==(const FloodOutcome& a, const FloodOutcome& b) {
+    return std::tie(a.served, a.failed, a.served_digest, a.failed_digest,
+                    a.queries, a.replies, a.moves, a.heartbeats,
+                    a.heartbeat_skips, a.replacements, a.travel,
+                    a.max_queries_per_comp, a.max_energy, a.total_energy) ==
+           std::tie(b.served, b.failed, b.served_digest, b.failed_digest,
+                    b.queries, b.replies, b.moves, b.heartbeats,
+                    b.heartbeat_skips, b.replacements, b.travel,
+                    b.max_queries_per_comp, b.max_energy, b.total_energy);
+  }
+};
+
+std::string as_initializer(const FloodOutcome& o) {
+  std::ostringstream s;
+  s << std::setprecision(17) << "{" << o.served << ", " << o.failed << ", "
+    << o.served_digest << "u, " << o.failed_digest << "u, " << o.queries
+    << ", " << o.replies << ", " << o.moves << ", " << o.heartbeats << ", "
+    << o.heartbeat_skips << ", " << o.replacements << ", " << o.travel
+    << ", " << o.max_queries_per_comp << ", " << o.max_energy << ", "
+    << o.total_energy << "}";
+  return s.str();
+}
+
+FloodOutcome flood_outcome_of(const OnlineMetrics& m,
+                              const std::vector<std::int64_t>& served,
+                              const std::vector<std::int64_t>& failed,
+                              std::uint64_t max_queries_per_comp) {
+  const NetworkStats& n = m.network;
+  return {served.size(),        failed.size(),
+          index_set_digest(served), index_set_digest(failed),
+          n.queries,            n.replies,
+          n.moves,              n.heartbeats,
+          n.heartbeat_skips,    m.replacements,
+          m.total_travel,       max_queries_per_comp,
+          m.max_energy_spent,   m.total_energy_spent};
+}
+
+FloodOutcome run_flood_case(const FloodCase& c) {
+  OnlineConfig cfg;
+  cfg.capacity = static_cast<double>(2 * c.side);  // any move is affordable
+  cfg.cube_side = c.side;
+  cfg.anchor = Point{0, 0};
+  cfg.max_message_delay = c.max_delay;
+  cfg.seed = 29;
+  cfg.monitor_stride = 4;
+  cfg.obs.counters = true;
+  // Two cubes side by side. Half the arrivals hit four hot vertices of
+  // the first cube, whose pairs exhaust vehicle after vehicle: each one a
+  // flood over the whole cube. At side 8 the first cube runs out of idle
+  // vehicles and fails the tail of the stream.
+  const std::size_t count = c.side == 8 ? 1500 : 7000;
+  const Point hot[] = {Point{1, 1}, Point{2, c.side - 2},
+                       Point{c.side - 3, 3}, Point{c.side / 2, c.side / 2}};
+  Rng rng(31);
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Point p = rng.next_bool(0.5)
+                        ? hot[rng.next_below(4)]
+                        : Point{rng.next_int(0, 2 * c.side - 1),
+                                rng.next_int(0, c.side - 1)};
+    jobs.push_back({p, static_cast<std::int64_t>(i)});
+  }
+  if (c.stream) {
+    StreamConfig sc;
+    sc.online = cfg;
+    sc.batch_size = 16;
+    StreamEngine engine(2, sc);
+    engine.ingest(jobs.data(), jobs.size());
+    const StreamResult r = engine.finish();
+    return flood_outcome_of(r.metrics, r.served_jobs, r.failed_jobs,
+                            r.counters.max_queries_per_comp);
+  }
+  CoreHarness h(2, cfg);
+  for (const Job& job : jobs) h.core.ensure_cube_at(job.position);
+  h.core.monitor_sweep();
+  h.network.run_to_quiescence();
+  std::vector<std::int64_t> served, failed;
+  std::int64_t since_settle = 0;
+  for (const Job& job : jobs) {
+    (h.core.serve_job(job) ? served : failed).push_back(job.index);
+    h.network.run_to_quiescence();
+    if (++since_settle >= cfg.monitor_stride) {
+      h.core.settle();
+      since_settle = 0;
+    }
+  }
+  if (since_settle > 0) h.core.settle();
+  h.core.finalize_metrics();
+  return flood_outcome_of(h.core.metrics(), served, failed,
+                          h.core.obs_max_queries_per_comp());
+}
+
+struct FloodGoldenPin {
+  FloodCase c;
+  FloodOutcome want;
+};
+
+const FloodGoldenPin kFloodGolden[] = {
+    {{8, 0, false},
+     {1102, 398, 8709752132503003762u, 7331419405610093653u, 48244, 48244, 85,
+      21660, 21660, 59, 502, 946, 16, 1604}},
+    {{8, 0, true},
+     {1102, 398, 8709752132503003762u, 7331419405610093653u, 48244, 48244, 85,
+      10352, 10352, 59, 502, 946, 16, 1604}},
+    {{8, 3, false},
+     {1093, 407, 4102386936220659440u, 11938784601892437975u, 48866, 48866, 93,
+      21643, 21643, 59, 506, 972, 16, 1599}},
+    {{8, 3, true},
+     {1103, 397, 969537322962294703u, 15071634215150802712u, 48303, 48303, 86,
+      10358, 10358, 58, 491, 982, 16, 1594}},
+    {{8, 70, false},
+     {1083, 417, 374955304268555552u, 15666216233844541863u, 48961, 48961, 104,
+      21665, 21665, 59, 516, 970, 16, 1599}},
+    {{8, 70, true},
+     {1101, 399, 6879076013753575129u, 9162095524359522286u, 48681, 48681, 105,
+      10360, 10360, 59, 494, 964, 16, 1595}},
+    {{16, 0, false},
+     {6741, 259, 12286959169863091459u, 16514190576467312560u, 455096, 455096,
+      441, 447407, 447407, 136, 2569, 6182, 32, 9310}},
+    {{16, 0, true},
+     {6741, 259, 12286959169863091459u, 16514190576467312560u, 455096, 455096,
+      441, 223749, 223749, 136, 2569, 6182, 32, 9310}},
+    {{16, 3, false},
+     {6766, 234, 12140054703314841501u, 16661095043015562518u, 455109, 455109,
+      470, 447455, 447455, 136, 2542, 6180, 32, 9308}},
+    {{16, 3, true},
+     {6750, 250, 1870970882165039783u, 8483434790455812620u, 462000, 462000,
+      482, 223661, 223661, 136, 2573, 6254, 32, 9323}},
+    {{16, 70, false},
+     {6743, 257, 4590005407589546690u, 5764400265031305713u, 462139, 462139,
+      641, 447270, 447270, 136, 2584, 6248, 32, 9327}},
+    {{16, 70, true},
+     {6747, 253, 17898757132210453841u, 10902392614119950178u, 462250, 462250,
+      607, 223655, 223655, 136, 2582, 6250, 32, 9329}},
+};
+
+TEST(FloodGolden, OutcomesMatchPinnedFloods) {
+  for (const FloodGoldenPin& g : kFloodGolden) {
+    SCOPED_TRACE("side " + std::to_string(g.c.side) + " max_delay " +
+                 std::to_string(g.c.max_delay) +
+                 (g.c.stream ? " stream" : " core"));
+    const FloodOutcome got = run_flood_case(g.c);
+    EXPECT_TRUE(got == g.want) << "got " << as_initializer(got);
+    // Every case floods, and Lemma 3.3.1 bounds each flood's queries.
+    EXPECT_GT(got.replacements, 10u);
+    const std::uint64_t bound =
+        static_cast<std::uint64_t>(g.c.side * g.c.side) * 25;
+    EXPECT_LE(got.max_queries_per_comp, bound);
+  }
+}
+
+// One channel carrying a burst of queries sent in the same tick: each
+// delivery's FIFO clamp chains one tick past the previous, far beyond the
+// near tier, while other channels deliver around it. Pinned: the digest
+// of every delivery's (tick, from, to, sequence) in firing order.
+TEST(FloodGolden, SameChannelBurstChainsFifoClamps) {
+  for (const SimTime max_delay : {3, 70}) {
+    SCOPED_TRACE("max_delay " + std::to_string(max_delay));
+    EventQueue q;
+    Network net(q, Rng(41), max_delay);
+    Collector c(q, net);
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      net.send(0, 1, QueryMsg{InitTag{0, i}, 1});
+      if (i % 25 == 0) net.send(2, 3, QueryMsg{InitTag{2, i}, 1});
+    }
+    for (int s = 0; s < 40; ++s) {
+      net.step();
+      net.send(1, 0, QueryMsg{InitTag{1, static_cast<std::uint64_t>(s)}, 1});
+    }
+    net.run_to_quiescence();
+    std::uint64_t digest = 0;
+    SimTime last_burst = -1;
+    bool chained = false;
+    for (const Collector::Seen& x : c.got) {
+      digest = mix64(digest ^ static_cast<std::uint64_t>(x.at));
+      digest = mix64(digest ^ (std::uint64_t{x.d.from} << 8 | x.d.to));
+      digest = mix64(digest ^ x.d.init.seq);
+      if (x.d.from == 0 && x.d.to == 1) {
+        chained |= x.at == last_burst + 1;
+        last_burst = x.at;
+      }
+    }
+    const std::size_t delivered = c.got.size();
+    EXPECT_EQ(delivered, 352u);
+    EXPECT_TRUE(chained);
+    EXPECT_GE(last_burst, 300);  // the chain outruns the 64-tick calendar
+    EXPECT_EQ(digest, max_delay == 3 ? 17725626094179271567u
+                                     : 449243232323327009u);
+    EXPECT_EQ(q.now(), max_delay == 3 ? 302 : 368);
+  }
 }
 
 // --- capacity search / Theorem 1.4.2 ----------------------------------------

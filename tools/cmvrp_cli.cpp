@@ -432,7 +432,7 @@ int report_stream(const Args& args, const StreamConfig& cfg,
     doc.set("stage_route_ms", r.stages.route_ms);
     doc.set("stage_serve_ms", r.stages.serve_ms);
     doc.set("stage_fold_ms", r.stages.fold_ms);
-    doc.set("stage_monitor_ms", r.stages.monitor_ms);
+    doc.set("stage_finish_ms", r.stages.finish_ms);
     doc.set("stage_size_ms", size_ms);
     doc.set("wall_ms", ms);
     doc.set("jobs_per_sec", jobs_per_sec);
@@ -1147,7 +1147,7 @@ int cmd_stats(const Args& args) {
       json_number_to_string(f.at("cascade_max").as_number()));
   // Tier-B stage breakdown (wall time; varies run to run by design).
   const char* stages[] = {"stage_route_ms", "stage_serve_ms",
-                          "stage_fold_ms", "stage_monitor_ms"};
+                          "stage_fold_ms", "stage_finish_ms"};
   for (const char* s : stages) t.row().cell(s).cell(f.at(s).as_number());
   t.row().cell("wall_rss_kb").cell(f.at("wall_rss_kb").as_number());
   t.print(std::cout);
